@@ -17,14 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import (
-    ControlPlan,
-    load_plan,
-    optimal_b,
-    plan_is_stable,
-    plan_variance,
-    resolve_plan,
-)
+from .control import PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
 from .effects import RegressionBlocks, implied_moments, total_effects
 from .errors import SemControlError, UnstableModel
 from .estimation import (
@@ -169,34 +162,49 @@ def _require_stable(model, partition, tol):
             f"(nondescendant block {report.nondescendant_radius:.6g}, "
             f"feedback block {report.feedback_radius:.6g}) must be below 1"
         )
-    return report
 
 
-def _plan_from_flags(args, partition, effects, blocks) -> tuple[ControlPlan, bool]:
-    """Build a plan from --x/--a/--b/--sigma-eps; returns (plan, optimal requested)."""
-    feedback = _floats(args.a, "--a") if args.a else np.zeros(len(partition.controls))
-    if feedback.size != len(partition.controls):
-        raise UsageError(
-            f"--a supplies {feedback.size} gains for {len(partition.controls)} controls"
-        )
-    optimal = args.b == "optimal"
-    if optimal:
-        gains = optimal_b(effects, blocks).covariate_gains
-    elif args.b:
-        gains = _floats(args.b, "--b")
-        if gains.size != len(partition.covariates):
-            raise UsageError(
-                f"--b supplies {gains.size} gains for {len(partition.covariates)} covariates"
-            )
-    else:
-        gains = np.zeros(len(partition.covariates))
-    plan = ControlPlan(
-        set_point=args.x,
-        feedback=feedback,
-        covariate_gains=gains,
-        noise_variance=args.sigma_eps,
-    )
-    return plan, optimal
+def _gains(raw: str | None, flag: str, names: tuple[str, ...], role: str) -> dict:
+    if not raw:
+        return {}
+    values = _floats(raw, flag)
+    if values.size != len(names):
+        raise UsageError(f"{flag} supplies {values.size} gains for {len(names)} {role}")
+    return dict(zip(names, values))
+
+
+def _plan_spec(args, partition) -> PlanSpec:
+    """The --plan file, or the --x/--a/--b/--sigma-eps flags as the same spec."""
+    if args.plan:
+        return load_plan(args.plan)
+    feedback = _gains(args.a, "--a", partition.controls, "controls")
+    gains = "optimal" if args.b == "optimal" else _gains(
+        args.b, "--b", partition.covariates, "covariates")
+    return PlanSpec(args.x, feedback, gains, args.sigma_eps)
+
+
+def _eval_pipeline(args, model):
+    """Everything a plan command needs, each quantity computed once.
+
+    Returns (partition, moments, effects, blocks, optimal gains or None,
+    resolved plan, report inputs); ``optimal_b`` runs only when the plan
+    asks for optimal covariate gains.
+    """
+    part = _partition(model, args)
+    _require_stable(model, part, args.tol)
+    moments, source = _moments(model, args)
+    eff = total_effects(model, part)
+    blocks = RegressionBlocks.from_moments(moments, part)
+    inputs = {"model": args.model, "model_hash": model_hash(model), **source}
+    if args.plan:
+        inputs["plan"] = args.plan
+    spec = _plan_spec(args, part)
+    optimal = optimal_b(eff, blocks) if spec.covariate_gains == "optimal" else None
+    return part, moments, eff, blocks, optimal, resolve_plan(spec, part, optimal), inputs
+
+
+def _residual_max(optimal) -> float:
+    return float(np.abs(optimal.residual).max()) if optimal.residual.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,27 +263,10 @@ def _cmd_effects(args):
     return report, 0
 
 
-def _eval_pipeline(args):
-    model = load_model(args.model)
-    part = _partition(model, args)
-    _require_stable(model, part, args.tol)
-    moments, source = _moments(model, args)
-    eff = total_effects(model, part)
-    blocks = RegressionBlocks.from_moments(moments, part)
-    inputs = {"model": args.model, "model_hash": model_hash(model), **source}
-    return model, part, moments, eff, blocks, inputs
-
-
 def _cmd_plan_eval(args):
-    model, part, moments, eff, blocks, inputs = _eval_pipeline(args)
-    if args.plan:
-        spec = load_plan(args.plan)
-        inputs["plan"] = args.plan
-        plan = resolve_plan(spec, part, eff, blocks)
-        optimal_requested = spec.covariate_gains == "optimal"
-    else:
-        plan, optimal_requested = _plan_from_flags(args, part, eff, blocks)
-    status = plan_is_stable(eff, plan, args.tol)
+    part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
+        args, load_model(args.model)
+    )
     effect = plan_variance(moments, eff, blocks, plan, args.tol)
     report = Report("plan-eval", inputs=inputs)
     report.results = {
@@ -289,16 +280,15 @@ def _cmd_plan_eval(args):
         "var_y": effect.response_variance,
         "var_controls": effect.controls_covariance,
         "feedback_factor": effect.feedback_factor,
-        "stability_margin": status.margin,
+        "stability_margin": effect.margin,
     }
-    if status.margin < 0.1:
+    if effect.margin < 0.1:
         report.warnings.append(
-            f"feedback stability margin {status.margin:.4g} is small; "
+            f"feedback stability margin {effect.margin:.4g} is small; "
             "the plan operates close to |a'g| = 1"
         )
-    if optimal_requested:
-        residual = optimal_b(eff, blocks).residual
-        worst = float(np.abs(residual).max()) if residual.size else 0.0
+    if optimal is not None:
+        worst = _residual_max(optimal)
         report.results["optimal_gain_residual_max"] = worst
         if worst > 1e-9:
             report.warnings.append(
@@ -311,24 +301,14 @@ def _cmd_plan_eval(args):
 
 def _cmd_plan_optimize(args):
     _require(args, "--W")
-    model, part, moments, eff, blocks, inputs = _eval_pipeline(args)
-    gains = optimal_b(eff, blocks)
-    feedback = _floats(args.a, "--a") if args.a else np.zeros(len(part.controls))
-    if feedback.size != len(part.controls):
-        raise UsageError(
-            f"--a supplies {feedback.size} gains for {len(part.controls)} controls"
-        )
-    plan = ControlPlan(
-        set_point=args.x,
-        feedback=feedback,
-        covariate_gains=gains.covariate_gains,
-        noise_variance=args.sigma_eps,
+    part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
+        args, load_model(args.model)
     )
     effect = plan_variance(moments, eff, blocks, plan, args.tol)
-    worst = float(np.abs(gains.residual).max()) if gains.residual.size else 0.0
+    worst = _residual_max(optimal)
     report = Report("plan-optimize", inputs=inputs)
     report.results = {
-        "b_star": dict(zip(part.covariates, gains.covariate_gains)),
+        "b_star": dict(zip(part.covariates, optimal.covariate_gains)),
         "residual_max": worst,
         "mean_y": effect.response_mean,
         "var_y": effect.response_variance,
@@ -377,28 +357,18 @@ def _cmd_simulate(args):
     _require(args, "--out")
     model = load_model(args.model)
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
-    inputs = {
-        "model": args.model,
-        "model_hash": model_hash(model),
-        "seed": args.seed,
-        "n": args.n,
-        "law": args.law,
-    }
     if args.plan or args.treatment:
-        part = _partition(model, args)
-        eff = total_effects(model, part)
-        moments, _ = _moments(model, args)
-        blocks = RegressionBlocks.from_moments(moments, part)
-        if args.plan:
-            plan = resolve_plan(load_plan(args.plan), part, eff, blocks)
-        else:
-            plan, _ = _plan_from_flags(args, part, eff, blocks)
+        part, *_, plan, evaluated = _eval_pipeline(args, model)
+        digest = evaluated["model_hash"]
         data = simulate_plan(model, part, plan, config)
         post = "post-plan"
     else:
+        digest = model_hash(model)
         data = draw_equilibrium(model, config)
         post = "observational"
-    sidecar = save_run(data, args.out, model, config)
+    sidecar = save_run(data, args.out, digest, config)
+    inputs = {"model": args.model, "model_hash": digest, "seed": args.seed, "n": args.n,
+              "law": args.law}
     report = Report("simulate", inputs=inputs)
     report.results = {
         "regime": post,
@@ -521,6 +491,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--a", default=None)
     p.add_argument("--sigma-eps", type=float, default=0.0)
+    p.set_defaults(plan=None, b="optimal")
     add_moment_flags(p)
 
     p = add("estimate", _cmd_estimate)

@@ -43,6 +43,7 @@ from .model import (
     PathDiagram,
     StructuralModel,
     VertexPartition,
+    _number,
 )
 
 #: Eigenvalue floor for calling a symmetric difference matrix positive semidefinite.
@@ -96,11 +97,15 @@ class PlanStability:
 
 @dataclass(frozen=True)
 class PlanEffect:
-    """Post-intervention response mean and control-block covariance."""
+    """Post-intervention response mean and control-block covariance.
+
+    ``margin`` is 1 - |a'g|, the distance of the feedback loop gain from the
+    stability bound.
+    """
 
     response_mean: float
     controls_covariance: np.ndarray
-    stable: bool
+    margin: float
     feedback_factor: float
 
     @property
@@ -146,6 +151,17 @@ def plan_is_stable(
     gain = float(plan.feedback @ effects.to_controls)
     margin = 1.0 - abs(gain)
     return PlanStability(stable=bool(margin > stability_tol), margin=margin, loop_gain=gain)
+
+
+def _require_plan_stable(
+    effects: EffectSummary, plan: ControlPlan, stability_tol: float
+) -> PlanStability:
+    status = plan_is_stable(effects, plan, stability_tol)
+    if not status.stable:
+        raise UnstablePlan(
+            f"plan violates the stable condition |a'g_fx| < 1: |a'g_fx| = {abs(status.loop_gain):.6g}"
+        )
+    return status
 
 
 def apply_plan(
@@ -234,19 +250,22 @@ def plan_mean(
 
     which reduces to mu_y + g_y k for a recursive plan (a = 0).
     """
+    status = _require_plan_stable(effects, plan, stability_tol)
+    return _mean(moments, effects, plan, status.loop_gain)
+
+
+def _mean(
+    moments: MomentSummary, effects: EffectSummary, plan: ControlPlan, loop_gain: float
+) -> float:
+    """:func:`plan_mean` for a plan already checked to have |a'g| < 1."""
     partition = effects.partition
-    status = plan_is_stable(effects, plan, stability_tol)
-    if not status.stable:
-        raise UnstablePlan(
-            f"plan violates the stable condition |a'g_fx| < 1: |a'g_fx| = {abs(status.loop_gain):.6g}"
-        )
     gamma = effects.to_controls
     gamma_y = effects.to_response
     mu_y = float(moments.mean_of((partition.response,))[0])
     mu_f = moments.mean_of(partition.controls)
     k = _shift(moments, partition, plan)
     feedback_term = float(plan.feedback @ (mu_f + gamma * k))
-    return mu_y + gamma_y * k + gamma_y / (1.0 - status.loop_gain) * feedback_term
+    return mu_y + gamma_y * k + gamma_y / (1.0 - loop_gain) * feedback_term
 
 
 def plan_variance(
@@ -272,11 +291,7 @@ def plan_variance(
     vanishes entirely.
     """
     partition = effects.partition
-    status = plan_is_stable(effects, plan, stability_tol)
-    if not status.stable:
-        raise UnstablePlan(
-            f"plan violates the stable condition |a'g_fx| < 1: |a'g_fx| = {abs(status.loop_gain):.6g}"
-        )
+    status = _require_plan_stable(effects, plan, stability_tol)
     f = partition.controls
     w = partition.covariates
     x = partition.treatment
@@ -302,9 +317,9 @@ def plan_variance(
     cov_f = damp @ core @ damp.T
     cov_f = 0.5 * (cov_f + cov_f.T)
     return PlanEffect(
-        response_mean=plan_mean(moments, effects, plan, stability_tol),
+        response_mean=_mean(moments, effects, plan, status.loop_gain),
         controls_covariance=cov_f,
-        stable=True,
+        margin=status.margin,
         feedback_factor=factor,
     )
 
@@ -396,11 +411,8 @@ def plan_from_dict(payload: dict) -> PlanSpec:
     unknown = set(payload) - _PLAN_KEYS
     if unknown:
         raise InputFormatError(f"unknown plan keys: {sorted(unknown)}")
-    try:
-        set_point = float(payload.get("x", 0.0))
-        noise = float(payload.get("sigma_eps_star", 0.0))
-    except (TypeError, ValueError):
-        raise InputFormatError("'x' and 'sigma_eps_star' must be numbers") from None
+    set_point = _number(payload.get("x", 0.0), "'x'")
+    noise = _number(payload.get("sigma_eps_star", 0.0), "'sigma_eps_star'")
     feedback = payload.get("a", {})
     if not isinstance(feedback, dict):
         raise InputFormatError("'a' must be an object of control name: gain")
@@ -411,8 +423,9 @@ def plan_from_dict(payload: dict) -> PlanSpec:
         raise InputFormatError("'sigma_eps_star' must be nonnegative")
     return PlanSpec(
         set_point=set_point,
-        feedback={k: float(v) for k, v in feedback.items()},
-        covariate_gains=gains if gains == "optimal" else {k: float(v) for k, v in gains.items()},
+        feedback={k: _number(v, f"'a' gain for {k!r}") for k, v in feedback.items()},
+        covariate_gains=gains if gains == "optimal"
+        else {k: _number(v, f"'b' gain for {k!r}") for k, v in gains.items()},
         noise_variance=noise,
     )
 
@@ -428,13 +441,14 @@ def load_plan(path: str | Path) -> PlanSpec:
 def resolve_plan(
     spec: PlanSpec,
     partition: VertexPartition,
-    effects: EffectSummary | None = None,
-    blocks: RegressionBlocks | None = None,
+    optimal: OptimalGains | None = None,
 ) -> ControlPlan:
-    """Align a plan file with a partition, resolving optimal covariate gains.
+    """Align a plan spec with a partition.
 
     Feedback keys must name controls and gain keys covariates; anything the
-    file does not mention defaults to zero gain.
+    spec does not mention defaults to zero gain.  A spec asking for optimal
+    covariate gains takes them from ``optimal``, the result of
+    :func:`optimal_b` for the same partition.
     """
     bad = set(spec.feedback) - set(partition.controls)
     if bad:
@@ -442,9 +456,9 @@ def resolve_plan(
     a = np.array([spec.feedback.get(name, 0.0) for name in partition.controls])
 
     if spec.covariate_gains == "optimal":
-        if effects is None or blocks is None:
-            raise ValueError("resolving optimal gains requires effects and regression blocks")
-        b = optimal_b(effects, blocks).covariate_gains
+        if optimal is None:
+            raise ValueError("resolving optimal gains requires the result of optimal_b")
+        b = optimal.covariate_gains
     else:
         bad = set(spec.covariate_gains) - set(partition.covariates)
         if bad:

@@ -12,6 +12,7 @@ covariance = (I - A)^(-1) diag(disturbance variances) (I - A)^(-T).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -46,6 +47,9 @@ class MomentSummary:
     def __post_init__(self):
         object.__setattr__(self, "variables", tuple(self.variables))
         p = len(self.variables)
+        if len(set(self.variables)) != p:
+            dupes = sorted(v for v, k in Counter(self.variables).items() if k > 1)
+            raise ValueError(f"duplicate variable names: {dupes}")
         mean = np.array(self.mean, dtype=float)
         cov = np.array(self.covariance, dtype=float)
         if mean.shape != (p,):
@@ -96,29 +100,21 @@ class EffectSummary:
     """Total effects of the treatment, in the partition's block order.
 
     ``to_descendants`` is the reduced-form effect of a unit change in the
-    treatment on each descendant; ``from_nondescendants`` is the matrix of
-    effects transmitted from each nondescendant into the descendant block.
+    treatment on each descendant.
     """
 
     partition: VertexPartition
     to_descendants: np.ndarray
-    from_nondescendants: np.ndarray
 
     def __post_init__(self):
         tau = np.array(self.to_descendants, dtype=float)
-        tau_t = np.array(self.from_nondescendants, dtype=float)
         n_s = len(self.partition.descendants)
-        n_t = len(self.partition.nondescendants)
         if tau.shape != (n_s,):
             raise ValueError(f"to_descendants must have length {n_s}")
-        if tau_t.shape != (n_s, n_t):
-            raise ValueError(f"from_nondescendants must be {n_s}x{n_t}")
-        if not (np.isfinite(tau).all() and np.isfinite(tau_t).all()):
+        if not np.isfinite(tau).all():
             raise ValueError("total effects must be finite")
         tau.setflags(write=False)
-        tau_t.setflags(write=False)
         object.__setattr__(self, "to_descendants", tau)
-        object.__setattr__(self, "from_nondescendants", tau_t)
 
     @property
     def to_controls(self) -> np.ndarray:
@@ -134,14 +130,6 @@ class EffectSummary:
         """Total effect on the response (first control)."""
         return float(self.to_descendants[0])
 
-    @property
-    def from_covariates(self) -> np.ndarray:
-        return self.from_nondescendants[:, : len(self.partition.covariates)]
-
-    @property
-    def from_background(self) -> np.ndarray:
-        return self.from_nondescendants[:, len(self.partition.covariates):]
-
 
 def total_effects(
     model: StructuralModel,
@@ -151,10 +139,8 @@ def total_effects(
     """Reduced-form total effects of the treatment on its descendants."""
     coeff = model.coefficients
     s_names = partition.descendants
-    t_names = partition.nondescendants
     a_ss = partition.submatrix(coeff, s_names, s_names)
     a_sx = partition.submatrix(coeff, s_names, (partition.treatment,))[:, 0]
-    a_st = partition.submatrix(coeff, s_names, t_names)
 
     system = np.eye(len(s_names)) - a_ss
     if np.linalg.cond(system) > condition_limit:
@@ -162,9 +148,7 @@ def total_effects(
             "descendant system (I - A_ss) is numerically singular; "
             "the model has no usable reduced form"
         )
-    tau_sx = np.linalg.solve(system, a_sx)
-    tau_st = np.linalg.solve(system, a_st) if t_names else np.zeros((len(s_names), 0))
-    return EffectSummary(partition, tau_sx, tau_st)
+    return EffectSummary(partition, np.linalg.solve(system, a_sx))
 
 
 def implied_moments(
@@ -238,16 +222,14 @@ class RegressionBlocks:
     """The named regression blocks used by the control-plan formulas.
 
     All are unconditional population regressions computed from one moment
-    summary: controls on treatment, descendants on treatment, controls on
-    covariates, treatment on covariates, and background on covariates.
+    summary: controls on treatment, controls on covariates, and treatment on
+    covariates.
     """
 
     partition: VertexPartition
     controls_on_treatment: np.ndarray
-    descendants_on_treatment: np.ndarray
     controls_on_covariates: np.ndarray
     treatment_on_covariates: np.ndarray
-    background_on_covariates: np.ndarray
 
     @property
     def response_on_treatment(self) -> float:
@@ -262,14 +244,10 @@ class RegressionBlocks:
     ) -> "RegressionBlocks":
         x = (partition.treatment,)
         f = partition.controls
-        s = partition.descendants
         w = partition.covariates
-        z = partition.background
         return cls(
             partition=partition,
             controls_on_treatment=regression_blocks(moments, f, x, (), condition_limit)[:, 0],
-            descendants_on_treatment=regression_blocks(moments, s, x, (), condition_limit)[:, 0],
             controls_on_covariates=regression_blocks(moments, f, w, (), condition_limit),
             treatment_on_covariates=regression_blocks(moments, x, w, (), condition_limit)[0],
-            background_on_covariates=regression_blocks(moments, z, w, (), condition_limit),
         )

@@ -29,7 +29,7 @@ from .errors import (
     TooFewRows,
     WeakInstrument,
 )
-from .model import CONDITION_LIMIT, StructuralModel, load_model
+from .model import CONDITION_LIMIT, StructuralModel, model_from_dict
 
 #: Relative correlation scale below which an instrument is called weak.
 WEAK_INSTRUMENT_TOL = 1e-8
@@ -184,6 +184,14 @@ def tsls_estimate(
 _COV_KEYS = {"variables", "matrix", "means", "n"}
 
 
+def _array(value, field: str) -> np.ndarray:
+    """A JSON array as floats, or an InputFormatError naming the field."""
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        raise InputFormatError(f"{field} must be a rectangular array of numbers") from None
+
+
 def covariance_from_dict(payload: dict) -> MomentSummary:
     if not isinstance(payload, dict):
         raise InputFormatError("covariance file must contain a JSON object")
@@ -193,15 +201,18 @@ def covariance_from_dict(payload: dict) -> MomentSummary:
     if "variables" not in payload or "matrix" not in payload:
         raise InputFormatError("covariance file requires 'variables' and 'matrix'")
     variables = payload["variables"]
-    matrix = np.array(payload["matrix"], dtype=float)
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise InputFormatError("'variables' must be a list of names")
+    matrix = _array(payload["matrix"], "'matrix'")
     means = payload.get("means")
-    mean = np.zeros(len(variables)) if means is None else np.array(means, dtype=float)
+    mean = np.zeros(len(variables)) if means is None else _array(means, "'means'")
     n_obs = payload.get("n")
     try:
-        return MomentSummary(
-            tuple(variables), mean, matrix, source="sample",
-            n_obs=None if n_obs is None else int(n_obs),
-        )
+        n_obs = None if n_obs is None else int(n_obs)
+    except (TypeError, ValueError):
+        raise InputFormatError(f"'n' must be an integer, got {n_obs!r}") from None
+    try:
+        return MomentSummary(tuple(variables), mean, matrix, source="sample", n_obs=n_obs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
 
@@ -214,15 +225,13 @@ def load_covariance(path: str | Path) -> MomentSummary:
     return covariance_from_dict(payload)
 
 
-def _fixture_path(name: str) -> Path:
-    path = resources.files("semcontrol").joinpath("data", name)
+def _fixture(name: str) -> dict:
+    """A bundled JSON fixture, read in place so that zipped installs work too."""
     try:
-        with resources.as_file(path) as concrete:
-            if not concrete.exists():
-                raise MissingFixture(f"bundled fixture {name!r} not found")
-            return concrete
+        text = resources.files("semcontrol").joinpath("data", name).read_text()
     except (FileNotFoundError, ModuleNotFoundError):
         raise MissingFixture(f"bundled fixture {name!r} not found") from None
+    return json.loads(text)
 
 
 def iverson_moments() -> MomentSummary:
@@ -232,7 +241,7 @@ def iverson_moments() -> MomentSummary:
     educational aspiration (Y), and three blocks of background covariates;
     all variables are centered, so the means are zero.
     """
-    return load_covariance(_fixture_path("iverson_covariance.json"))
+    return covariance_from_dict(_fixture("iverson_covariance.json"))
 
 
 def iverson_model() -> StructuralModel:
@@ -244,4 +253,4 @@ def iverson_model() -> StructuralModel:
     obtained by exact moment matching: the implied covariance of this model
     reproduces the published matrix to machine precision.
     """
-    return load_model(_fixture_path("iverson_model.json"))
+    return model_from_dict(_fixture("iverson_model.json"))

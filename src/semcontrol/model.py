@@ -232,10 +232,6 @@ class VertexPartition:
         """Extract the block of a variables-by-variables matrix by name."""
         return matrix[np.ix_(self.indices(rows), self.indices(cols))]
 
-    def block_order(self) -> tuple[str, ...]:
-        """All variables in (descendants, treatment, nondescendants) order."""
-        return self.descendants + (self.treatment,) + self.nondescendants
-
 
 @dataclass(frozen=True)
 class StabilityReport:
@@ -416,6 +412,14 @@ _MODEL_KEYS = {"variables", "edges", "intercepts", "disturbance_variances"}
 _EDGE_KEYS = {"from", "to", "coeff"}
 
 
+def _number(value, field: str) -> float:
+    """``float(value)`` for a file field, or an InputFormatError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputFormatError(f"{field} must be a number, got {value!r}") from None
+
+
 def model_from_dict(payload: dict) -> StructuralModel:
     """Parse the JSON model schema; unknown keys are rejected."""
     if not isinstance(payload, dict):
@@ -429,6 +433,8 @@ def model_from_dict(payload: dict) -> StructuralModel:
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise InputFormatError("'variables' must be a list of names")
 
+    if not isinstance(payload["edges"], list):
+        raise InputFormatError("'edges' must be a list of edge objects")
     edges = []
     for entry in payload["edges"]:
         if not isinstance(entry, dict):
@@ -437,9 +443,12 @@ def model_from_dict(payload: dict) -> StructuralModel:
         if unknown:
             raise InputFormatError(f"unknown edge keys: {sorted(unknown)}")
         try:
-            edges.append((entry["from"], entry["to"], float(entry["coeff"])))
+            source, target, coeff = entry["from"], entry["to"], entry["coeff"]
         except KeyError as exc:
             raise InputFormatError(f"edge missing key {exc.args[0]!r}") from None
+        if not (isinstance(source, str) and isinstance(target, str)):
+            raise InputFormatError("edge 'from' and 'to' must be variable names")
+        edges.append((source, target, _number(coeff, f"edge {source} -> {target} 'coeff'")))
 
     def named_map(key: str) -> dict[str, float]:
         raw = payload.get(key, {})
@@ -448,7 +457,7 @@ def model_from_dict(payload: dict) -> StructuralModel:
         bad = set(raw) - set(variables)
         if bad:
             raise InputFormatError(f"'{key}' names unknown variables: {sorted(bad)}")
-        return {k: float(v) for k, v in raw.items()}
+        return {k: _number(v, f"'{key}' value for {k!r}") for k, v in raw.items()}
 
     try:
         return StructuralModel.from_edges(

@@ -30,7 +30,6 @@ from .model import (
     STABILITY_TOL,
     StructuralModel,
     VertexPartition,
-    model_hash,
     spectral_radius,
 )
 
@@ -95,6 +94,17 @@ def draw_equilibrium(
     An unstable model still has a solvable equilibrium but cannot reach it
     by iteration, so sampling one only emits a warning.
     """
+    return _draw(model, config, row_range, condition_limit, warn_unstable=True)
+
+
+def _draw(
+    model: StructuralModel,
+    config: SimulationConfig,
+    row_range: tuple[int, int] | None,
+    condition_limit: float,
+    warn_unstable: bool,
+) -> Dataset:
+    """:func:`draw_equilibrium`; callers that already gated the spectral radius skip it."""
     start, stop = row_range if row_range is not None else (0, config.n_draws)
     if not 0 <= start <= stop <= config.n_draws:
         raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
@@ -103,12 +113,12 @@ def draw_equilibrium(
     system = np.eye(n) - model.coefficients
     if np.linalg.cond(system) > condition_limit:
         raise SingularSystem("(I - A) is numerically singular; equilibrium is not unique")
-    if spectral_radius(model.coefficients) >= 1.0 - STABILITY_TOL:
+    if warn_unstable and spectral_radius(model.coefficients) >= 1.0 - STABILITY_TOL:
         warnings.warn(
             "model is not stable: equilibrium draws exist but are not reachable "
             "by iteration from any starting point",
             UnstableModelWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     eps = _disturbances(model, config, start, stop)
@@ -170,19 +180,19 @@ def simulate_plan(
             f"post-plan spectral radius {rho:.6g} is not below 1; pass "
             "allow_unstable=True to sample the (unreachable) equilibrium anyway"
         )
-    with warnings.catch_warnings():
-        if allow_unstable:
-            warnings.simplefilter("ignore", UnstableModelWarning)
-        return draw_equilibrium(post, config, row_range=row_range)
+    return _draw(post, config, row_range, CONDITION_LIMIT, warn_unstable=False)
 
 
 def save_run(
     dataset: Dataset,
     path: str | Path,
-    model: StructuralModel,
+    digest: str,
     config: SimulationConfig,
 ) -> Path:
-    """Write a dataset as CSV plus a JSON metadata sidecar; returns the sidecar path."""
+    """Write a dataset as CSV plus a JSON metadata sidecar; returns the sidecar path.
+
+    ``digest`` is the :func:`~semcontrol.model.model_hash` of the model drawn from.
+    """
     path = Path(path)
     dataset.to_csv(path)
     sidecar = path.with_name(path.name + ".meta.json")
@@ -191,7 +201,7 @@ def save_run(
             {
                 "seed": config.seed,
                 "n": dataset.n,
-                "model_hash": model_hash(model),
+                "model_hash": digest,
                 "rng": RNG_ALGORITHM,
                 "law": config.law,
             },

@@ -29,6 +29,25 @@ def cov_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def unstable_model_file(tmp_path):
+    """A two-cycle whose feedback block has spectral radius sqrt(1.2) > 1."""
+    path = tmp_path / "unstable.json"
+    path.write_text(json.dumps({
+        "variables": ["Y", "X"],
+        "edges": [
+            {"from": "X", "to": "Y", "coeff": 1.5},
+            {"from": "Y", "to": "X", "coeff": 0.8},
+        ],
+    }))
+    return str(path)
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
 def run_json(capsys, argv):
     code = run_command([*argv, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -93,17 +112,9 @@ class TestStability:
         assert code == 0
         assert "spectral_radius" in payload["results"]
 
-    def test_unstable_model_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "unstable.json"
-        path.write_text(json.dumps({
-            "variables": ["Y", "X"],
-            "edges": [
-                {"from": "X", "to": "Y", "coeff": 1.5},
-                {"from": "Y", "to": "X", "coeff": 0.8},
-            ],
-        }))
+    def test_unstable_model_exits_two(self, unstable_model_file, capsys):
         code, payload = run_json(capsys, [
-            "stability", "--model", str(path), "--treatment", "X", "--response", "Y",
+            "stability", "--model", unstable_model_file, "--treatment", "X", "--response", "Y",
         ])
         assert code == 2
         assert payload["results"]["stable"] is False
@@ -139,6 +150,73 @@ class TestPlanCommands:
         assert payload["results"]["noise_variance"] == 0.25
         assert payload["results"]["nonrecursive"] is True
         assert payload["results"]["perfect"] is False
+
+    @pytest.mark.parametrize("plan, flags", [
+        ({"x": 2.0, "a": {"Y": -5.0}, "b": {}, "sigma_eps_star": 0.25},
+         ["--x", "2", "--a", "-5", "--sigma-eps", "0.25"]),
+        ({"x": 1.0, "a": {"Y": -5.0}, "b": "optimal"},
+         ["--x", "1", "--a", "-5", "--b", "optimal"]),
+        ({"b": {"Z1": 0.5}}, ["--b", "0.5"]),
+    ])
+    def test_plan_file_equals_flags(self, model_file, cov_file, tmp_path, capsys, plan, flags):
+        base = ["plan-eval", "--model", model_file, "--cov", cov_file,
+                "--treatment", "X", "--response", "Y", "--W", "Z1"]
+        plan_path = write_json(tmp_path / "plan.json", plan)
+        code, via_file = run_json(capsys, [*base, "--plan", plan_path])
+        assert code == 0
+        code, via_flags = run_json(capsys, [*base, *flags])
+        assert code == 0
+        assert via_file["results"] == via_flags["results"]
+        assert via_file["inputs"]["plan"] == plan_path
+        results = via_file["results"]
+        gamma = 0.003 / 0.061  # Iverson total effect of X on Y
+        assert results["stability_margin"] == pytest.approx(
+            1.0 - abs(plan.get("a", {}).get("Y", 0.0) * gamma), abs=1e-12)
+        assert ("optimal_gain_residual_max" in results) is (plan.get("b") == "optimal")
+
+    @pytest.mark.parametrize("margin, warned", [(0.09, True), (0.11, False)])
+    def test_small_stability_margin_warns(self, model_file, capsys, margin, warned):
+        gamma = 0.003 / 0.061
+        code, payload = run_json(capsys, [
+            "plan-eval", "--model", model_file, "--treatment", "X", "--response", "Y",
+            "--a", repr((1.0 - margin) / gamma),
+        ])
+        assert code == 0
+        assert payload["results"]["stability_margin"] == pytest.approx(margin, abs=1e-9)
+        assert any("stability margin" in w for w in payload["warnings"]) is warned
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("plan-eval", ["--a", "1,2"], "--a supplies 2 gains for 1 controls"),
+        ("plan-eval", ["--W", "Z1", "--b", "1,2"], "--b supplies 2 gains for 1 covariates"),
+        ("plan-optimize", ["--W", "Z1", "--a", "1,2"], "--a supplies 2 gains for 1 controls"),
+        ("simulate", ["--a", "1,2"], "--a supplies 2 gains for 1 controls"),
+        ("simulate", ["--W", "Z1", "--b", "1,2"], "--b supplies 2 gains for 1 covariates"),
+    ])
+    def test_wrong_gain_count_is_usage_error(
+        self, model_file, tmp_path, capsys, command, flags, message
+    ):
+        code = run_command([
+            command, "--model", model_file, "--treatment", "X", "--response", "Y",
+            *flags, "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["plan-eval", "simulate"])
+    @pytest.mark.parametrize("plan, message", [
+        ({"a": {"Z1": 1.0}}, "plan feedback names non-controls: ['Z1']"),
+        ({"b": {"Y": 1.0}}, "plan gains name non-covariates: ['Y']"),
+    ])
+    def test_plan_file_naming_wrong_roles_exits_two(
+        self, model_file, tmp_path, capsys, command, plan, message
+    ):
+        code = run_command([
+            command, "--model", model_file, "--treatment", "X", "--response", "Y",
+            "--W", "Z1", "--plan", write_json(tmp_path / "plan.json", plan),
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_optimize_reports_gain_mean_and_variance(self, model_file, cov_file, capsys):
         code, payload = run_json(capsys, [
@@ -246,6 +324,24 @@ class TestSimulateCommand:
         data = sc.Dataset.from_csv(out)
         assert np.allclose(data.column("X"), 3.0)
 
+    @pytest.mark.parametrize("plan_flags", [["--x", "1"], ["--plan", "plan.json"]])
+    def test_plan_branch_applies_model_stability_gate(
+        self, unstable_model_file, tmp_path, capsys, plan_flags
+    ):
+        write_json(tmp_path / "plan.json", {"x": 1.0})
+        cov = write_json(tmp_path / "cov.json", {
+            "variables": ["Y", "X"], "matrix": [[1.0, 0.0], [0.0, 1.0]],
+        })
+        plan_flags = [str(tmp_path / f) if f.endswith(".json") else f for f in plan_flags]
+        code = run_command([
+            "simulate", "--model", unstable_model_file, "--cov", cov, "--n", "10",
+            "--treatment", "X", "--response", "Y", *plan_flags,
+            "--out", str(tmp_path / "post.csv"),
+        ])
+        assert code == 2
+        assert "model is not stable" in capsys.readouterr().err
+        assert not (tmp_path / "post.csv").exists()
+
 
 class TestReports:
     def test_json_report_round_trips(self, model_file, capsys):
@@ -285,6 +381,77 @@ class TestReports:
         run_command(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestMalformedInput:
+    MODEL = {
+        "variables": ["Y", "X"],
+        "edges": [{"from": "X", "to": "Y", "coeff": 0.5}],
+        "intercepts": {"Y": 0.0},
+        "disturbance_variances": {"X": 1.0},
+    }
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("edges", 5, "'edges'"),
+        ("edges", [{"from": "X", "to": "Y", "coeff": None}], "'coeff'"),
+        ("edges", [{"from": "X", "to": "Y", "coeff": [0.5]}], "'coeff'"),
+        ("edges", [{"from": 1, "to": "Y", "coeff": 0.5}], "'from'"),
+        ("intercepts", {"Y": None}, "'intercepts'"),
+        ("intercepts", {"Y": [1.0]}, "'intercepts'"),
+        ("disturbance_variances", {"X": None}, "'disturbance_variances'"),
+        ("disturbance_variances", {"X": {}}, "'disturbance_variances'"),
+    ])
+    def test_wrong_typed_model_value_exits_two(self, tmp_path, capsys, field, value, named):
+        path = write_json(tmp_path / "model.json", {**self.MODEL, field: value})
+        assert run_command(["validate", "--model", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("plan, named", [
+        ({"a": {"Y": None}}, "'a'"),
+        ({"b": {"Z1": None}}, "'b'"),
+        ({"b": {"Z1": [1.0]}}, "'b'"),
+    ])
+    def test_wrong_typed_plan_gain_exits_two(self, model_file, tmp_path, capsys, plan, named):
+        code = run_command([
+            "plan-eval", "--model", model_file, "--treatment", "X", "--response", "Y",
+            "--W", "Z1", "--plan", write_json(tmp_path / "plan.json", plan),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("payload, named", [
+        ({"variables": "YX", "matrix": [[1.0]]}, "'variables'"),
+        ({"variables": ["Y"], "matrix": [[None]]}, "finite"),
+        ({"variables": ["Y"], "matrix": [[1.0, 2.0], [1.0]]}, "'matrix'"),
+        ({"variables": ["Y"], "matrix": [[1.0]], "means": ["a"]}, "'means'"),
+        ({"variables": ["Y"], "matrix": [[1.0]], "n": [3]}, "'n'"),
+    ])
+    def test_wrong_typed_covariance_value_exits_two(self, tmp_path, capsys, payload, named):
+        code = run_command([
+            "estimate", "--cov", write_json(tmp_path / "cov.json", payload),
+            "--treatment", "X", "--response", "Y", "--instruments", "Z",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_duplicate_covariance_variables_exit_two(self, tmp_path, capsys):
+        mom = sc.iverson_moments()
+        cov = np.pad(mom.covariance, ((0, 1), (0, 1)))
+        cov[-1, :-1] = cov[:-1, 0]
+        cov[:-1, -1] = cov[0, :-1]
+        cov[-1, -1] = cov[0, 0]
+        path = write_json(tmp_path / "cov.json", {
+            "variables": [*mom.variables, "Y"], "matrix": cov.tolist(),
+        })
+        code = run_command([
+            "estimate", "--cov", path,
+            "--treatment", "X", "--response", "Y", "--instruments", "Z1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: duplicate variable names: ['Y']\n"
 
 
 class TestReproduceIverson:

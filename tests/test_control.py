@@ -99,6 +99,27 @@ class TestApplyPlan:
         assert np.array_equal(block[n_s], expected_row)
 
 
+class TestResolvePlan:
+    def test_optimal_gains_come_from_the_given_result(self, iverson_model, iverson_moments):
+        part = sc.partition_vertices(iverson_model, "X", "Y", covariates=["Z1"])
+        effects = sc.total_effects(iverson_model, part)
+        blocks = sc.RegressionBlocks.from_moments(iverson_moments, part)
+        optimal = sc.optimal_b(effects, blocks)
+        spec = sc.PlanSpec(1.0, {"Y": -5.0}, "optimal", 0.5)
+        plan = sc.resolve_plan(spec, part, optimal)
+        assert np.array_equal(plan.covariate_gains, optimal.covariate_gains)
+        assert np.array_equal(plan.feedback, [-5.0])
+        with pytest.raises(ValueError, match="optimal_b"):
+            sc.resolve_plan(spec, part)
+
+    def test_plan_variance_reports_the_feedback_margin(self, iverson_setup):
+        _, _, moments, effects, blocks = iverson_setup
+        plan = sc.ControlPlan(0.0, [-5.0], [])
+        effect = sc.plan_variance(moments, effects, blocks, plan)
+        assert effect.margin == sc.plan_is_stable(effects, plan).margin
+        assert effect.response_mean == sc.plan_mean(moments, effects, plan)
+
+
 class TestOptimalGains:
     def test_gain_zero_when_covariate_acts_through_treatment_only(self):
         # W -> X -> Y: the regression of Y on W is already gamma * B_xw
@@ -400,7 +421,7 @@ class TestCovariateCompare:
             controls=("Y", "F2"),
             covariates=(),
         )
-        effects = sc.EffectSummary(partition, np.array([0.3, 0.3]), np.zeros((2, 2)))
+        effects = sc.EffectSummary(partition, np.array([0.3, 0.3]))
         cov = np.eye(5)
         cov[0, 3] = cov[3, 0] = 0.5  # Y with W1
         cov[1, 4] = cov[4, 1] = 0.5  # F2 with W2

@@ -223,4 +223,3 @@ class TestRegressionBlocks:
         assert blocks.response_on_treatment == pytest.approx(0.386 / 1.216, abs=1e-12)
         assert blocks.treatment_on_covariates[0] == pytest.approx(-0.295, abs=1e-12)
         assert blocks.controls_on_covariates[0, 0] == pytest.approx(-0.085, abs=1e-12)
-        assert blocks.background_on_covariates.shape == (2, 1)

@@ -1,5 +1,11 @@
 """Sample moments and instrumental-variable estimation."""
 
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -201,6 +207,26 @@ class TestCovarianceFiles:
 
 
 class TestBundledFixtures:
+    def test_fixtures_load_from_a_zipped_package(self, tmp_path):
+        package = Path(sc.__file__).parent
+        archive = tmp_path / "semcontrol.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in package.rglob("*"):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, path.relative_to(package.parent))
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import semcontrol as sc; "
+            "assert sc.__file__.startswith(sys.argv[1]), sc.__file__; "
+            "print(sc.iverson_moments().n_obs, sc.iverson_model().n_variables)"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(archive)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["213", "5"]
+
     def test_published_covariance_values(self, iverson_moments):
         assert iverson_moments.variables == ("Y", "X", "Z1", "Z2", "Z3")
         assert iverson_moments.var("Y") == 1.041

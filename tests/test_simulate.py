@@ -1,6 +1,7 @@
 """Equilibrium sampler determinism, chunking, iteration, and plan simulation."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -101,9 +102,10 @@ class TestDrawEquilibrium:
         model = sc.StructuralModel.from_edges(
             [("X", "Y", 1.5), ("Y", "X", 0.8)], variables=["Y", "X"]
         )
-        with pytest.warns(sc.UnstableModelWarning):
+        with pytest.warns(sc.UnstableModelWarning) as record:
             data = sc.draw_equilibrium(model, sc.SimulationConfig(10, seed=0))
         assert data.n == 10
+        assert record[0].filename == __file__  # attributed to the caller
 
     def test_bad_row_range_rejected(self, two_cycle_model):
         with pytest.raises(ValueError):
@@ -187,10 +189,12 @@ class TestSimulatePlan:
         plan = sc.ControlPlan(0.0, np.array([1.5 / gamma]), np.zeros(0))
         with pytest.raises(sc.UnstablePlan):
             sc.simulate_plan(iverson_model, part, plan, sc.SimulationConfig(10, seed=0))
-        data = sc.simulate_plan(
-            iverson_model, part, plan, sc.SimulationConfig(10, seed=0),
-            allow_unstable=True,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = sc.simulate_plan(
+                iverson_model, part, plan, sc.SimulationConfig(10, seed=0),
+                allow_unstable=True,
+            )
         assert data.n == 10
 
 
@@ -199,7 +203,7 @@ class TestSaveRun:
         config = sc.SimulationConfig(25, seed=5, law="uniform")
         data = sc.draw_equilibrium(two_cycle_model, config)
         out = tmp_path / "draws.csv"
-        sidecar = sc.save_run(data, out, two_cycle_model, config)
+        sidecar = sc.save_run(data, out, sc.model_hash(two_cycle_model), config)
         loaded = sc.Dataset.from_csv(out)
         assert np.array_equal(loaded.rows, data.rows)
         meta = json.loads(sidecar.read_text())
