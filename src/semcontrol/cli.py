@@ -29,8 +29,8 @@ from .estimation import (
     tsls_estimate,
 )
 from .model import (
-    STABILITY_TOL,
     check_stability,
+    is_stable,
     load_model,
     model_hash,
     partition_vertices,
@@ -154,8 +154,8 @@ def _moments(model, args):
     return implied_moments(model), {"source": "implied"}
 
 
-def _require_stable(model, partition, tol):
-    report = check_stability(model, partition, tol)
+def _require_stable(model, partition):
+    report = check_stability(model, partition)
     if not report.stable:
         raise UnstableModel(
             "model is not stable: spectral radii "
@@ -180,7 +180,8 @@ def _plan_spec(args, partition) -> PlanSpec:
     feedback = _gains(args.a, "--a", partition.controls, "controls")
     gains = "optimal" if args.b == "optimal" else _gains(
         args.b, "--b", partition.covariates, "covariates")
-    return PlanSpec(args.x, feedback, gains, args.sigma_eps)
+    return PlanSpec(0.0 if args.x is None else args.x, feedback, gains,
+                    0.0 if args.sigma_eps is None else args.sigma_eps)
 
 
 def _eval_pipeline(args, model):
@@ -190,8 +191,13 @@ def _eval_pipeline(args, model):
     resolved plan, report inputs); ``optimal_b`` runs only when the plan
     asks for optimal covariate gains.
     """
+    if args.plan:
+        flags = {"--x": args.x, "--a": args.a, "--b": args.b, "--sigma-eps": args.sigma_eps}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise UsageError(f"--plan cannot be combined with {', '.join(given)}")
     part = _partition(model, args)
-    _require_stable(model, part, args.tol)
+    _require_stable(model, part)
     moments, source = _moments(model, args)
     eff = total_effects(model, part)
     blocks = RegressionBlocks.from_moments(moments, part)
@@ -227,7 +233,7 @@ def _cmd_stability(args):
     inputs = {"model": args.model, "model_hash": model_hash(model)}
     if args.treatment or args.response:
         part = _partition(model, args)
-        rep = check_stability(model, part, args.tol)
+        rep = check_stability(model, part)
         results = {
             "spectral_radius_nondescendant_block": rep.nondescendant_radius,
             "spectral_radius_feedback_block": rep.feedback_radius,
@@ -237,7 +243,7 @@ def _cmd_stability(args):
         stable = rep.stable
     else:
         rho = spectral_radius(model.coefficients)
-        stable = rho < 1.0 - args.tol
+        stable = is_stable(rho)
         results = {"spectral_radius": rho, "stable": stable, "margin": 1.0 - rho}
     report = Report("stability", inputs=inputs, results=results)
     if not stable:
@@ -248,7 +254,7 @@ def _cmd_stability(args):
 def _cmd_effects(args):
     model = load_model(args.model)
     part = _partition(model, args)
-    _require_stable(model, part, args.tol)
+    _require_stable(model, part)
     eff = total_effects(model, part)
     results = {
         "total_effect_on_response": eff.to_response,
@@ -267,7 +273,7 @@ def _cmd_plan_eval(args):
     part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
         args, load_model(args.model)
     )
-    effect = plan_variance(moments, eff, blocks, plan, args.tol)
+    effect = plan_variance(moments, eff, blocks, plan)
     report = Report("plan-eval", inputs=inputs)
     report.results = {
         "set_point": plan.set_point,
@@ -304,7 +310,7 @@ def _cmd_plan_optimize(args):
     part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
         args, load_model(args.model)
     )
-    effect = plan_variance(moments, eff, blocks, plan, args.tol)
+    effect = plan_variance(moments, eff, blocks, plan)
     worst = _residual_max(optimal)
     report = Report("plan-optimize", inputs=inputs)
     report.results = {
@@ -445,8 +451,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler, command=name)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--tol", type=float, default=STABILITY_TOL,
-                       help="stability tolerance below 1")
         return p
 
     def add_partition_flags(p):
@@ -457,11 +461,11 @@ def _build_parser() -> _Parser:
 
     def add_plan_flags(p):
         p.add_argument("--plan", default=None, help="plan JSON file")
-        p.add_argument("--x", type=float, default=0.0, help="plan set point")
+        p.add_argument("--x", type=float, default=None, help="plan set point")
         p.add_argument("--a", default=None, help="feedback gains, comma-separated")
         p.add_argument("--b", default=None,
                        help="covariate gains, comma-separated, or 'optimal'")
-        p.add_argument("--sigma-eps", type=float, default=0.0,
+        p.add_argument("--sigma-eps", type=float, default=None,
                        help="plan disturbance variance")
 
     def add_moment_flags(p):
@@ -488,9 +492,9 @@ def _build_parser() -> _Parser:
     p = add("plan-optimize", _cmd_plan_optimize)
     p.add_argument("--model", required=True)
     add_partition_flags(p)
-    p.add_argument("--x", type=float, default=0.0)
+    p.add_argument("--x", type=float, default=None)
     p.add_argument("--a", default=None)
-    p.add_argument("--sigma-eps", type=float, default=0.0)
+    p.add_argument("--sigma-eps", type=float, default=None)
     p.set_defaults(plan=None, b="optimal")
     add_moment_flags(p)
 

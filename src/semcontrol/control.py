@@ -38,16 +38,13 @@ from .errors import (
     ZeroTotalEffect,
 )
 from .model import (
+    PSD_TOL,
     STABILITY_TOL,
-    CONDITION_LIMIT,
     PathDiagram,
     StructuralModel,
     VertexPartition,
     _number,
 )
-
-#: Eigenvalue floor for calling a symmetric difference matrix positive semidefinite.
-PSD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,22 +138,16 @@ def _check_plan_shapes(partition: VertexPartition, plan: ControlPlan) -> None:
         )
 
 
-def plan_is_stable(
-    effects: EffectSummary,
-    plan: ControlPlan,
-    stability_tol: float = STABILITY_TOL,
-) -> PlanStability:
+def plan_is_stable(effects: EffectSummary, plan: ControlPlan) -> PlanStability:
     """Check the feedback condition |a'g| < 1 and report the margin."""
     _check_plan_shapes(effects.partition, plan)
     gain = float(plan.feedback @ effects.to_controls)
     margin = 1.0 - abs(gain)
-    return PlanStability(stable=bool(margin > stability_tol), margin=margin, loop_gain=gain)
+    return PlanStability(stable=bool(margin > STABILITY_TOL), margin=margin, loop_gain=gain)
 
 
-def _require_plan_stable(
-    effects: EffectSummary, plan: ControlPlan, stability_tol: float
-) -> PlanStability:
-    status = plan_is_stable(effects, plan, stability_tol)
+def _require_plan_stable(effects: EffectSummary, plan: ControlPlan) -> PlanStability:
+    status = plan_is_stable(effects, plan)
     if not status.stable:
         raise UnstablePlan(
             f"plan violates the stable condition |a'g_fx| < 1: |a'g_fx| = {abs(status.loop_gain):.6g}"
@@ -236,12 +227,7 @@ def _shift(moments: MomentSummary, partition: VertexPartition, plan: ControlPlan
     return plan.set_point - mu_x + float(plan.covariate_gains @ mu_w)
 
 
-def plan_mean(
-    moments: MomentSummary,
-    effects: EffectSummary,
-    plan: ControlPlan,
-    stability_tol: float = STABILITY_TOL,
-) -> float:
+def plan_mean(moments: MomentSummary, effects: EffectSummary, plan: ControlPlan) -> float:
     """Post-intervention mean of the response.
 
     For shift k = x - mu_x + b' mu_w the value is
@@ -250,7 +236,7 @@ def plan_mean(
 
     which reduces to mu_y + g_y k for a recursive plan (a = 0).
     """
-    status = _require_plan_stable(effects, plan, stability_tol)
+    status = _require_plan_stable(effects, plan)
     return _mean(moments, effects, plan, status.loop_gain)
 
 
@@ -273,7 +259,6 @@ def plan_variance(
     effects: EffectSummary,
     blocks: RegressionBlocks,
     plan: ControlPlan,
-    stability_tol: float = STABILITY_TOL,
 ) -> PlanEffect:
     """Post-intervention covariance of the controls (response variance first).
 
@@ -291,7 +276,7 @@ def plan_variance(
     vanishes entirely.
     """
     partition = effects.partition
-    status = _require_plan_stable(effects, plan, stability_tol)
+    status = _require_plan_stable(effects, plan)
     f = partition.controls
     w = partition.covariates
     x = partition.treatment
@@ -348,8 +333,6 @@ def covariate_compare(
     effects: EffectSummary,
     first: Sequence[str],
     second: Sequence[str],
-    psd_tol: float = PSD_TOL,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> CovariateComparison:
     """Compare two covariate sets by the variance they remove at optimal gains.
 
@@ -369,8 +352,8 @@ def covariate_compare(
         w = tuple(w)
         if not w:
             return np.zeros((len(f), len(f)))
-        b_fw = regression_blocks(moments, f, w, (), condition_limit)
-        b_xw = regression_blocks(moments, x, w, (), condition_limit)[0]
+        b_fw = regression_blocks(moments, f, w)
+        b_xw = regression_blocks(moments, x, w)[0]
         resid = b_fw - np.outer(gamma, b_xw)
         return resid @ moments.cov_block(w, w) @ resid.T
 
@@ -378,8 +361,8 @@ def covariate_compare(
     delta = 0.5 * (delta + delta.T)
     eigs = np.linalg.eigvalsh(delta)
     return CovariateComparison(
-        first_no_worse=bool(eigs.min() >= -psd_tol),
-        second_no_worse=bool(eigs.max() <= psd_tol),
+        first_no_worse=bool(eigs.min() >= -PSD_TOL),
+        second_no_worse=bool(eigs.max() <= PSD_TOL),
         difference=delta,
     )
 

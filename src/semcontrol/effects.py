@@ -20,28 +20,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularBlock, SingularSystem, UnstableModel
-from .model import (
-    CONDITION_LIMIT,
-    STABILITY_TOL,
-    StructuralModel,
-    VertexPartition,
-    spectral_radius,
-)
+from .model import StructuralModel, VertexPartition, is_stable, solve, spectral_radius
 
 
 @dataclass(frozen=True)
 class MomentSummary:
     """Mean vector and covariance matrix over the model variables.
 
-    ``source`` records where the numbers came from: ``"implied"`` (closed
-    form from a model), ``"sample"`` (data or a published matrix), or
-    ``"post-plan"`` (implied by a model after surgery).
+    ``n_obs`` is the sample size behind sample moments, when known.
     """
 
     variables: tuple[str, ...]
     mean: np.ndarray
     covariance: np.ndarray
-    source: str = "implied"
     n_obs: int | None = None
 
     def __post_init__(self):
@@ -58,8 +49,6 @@ class MomentSummary:
             raise ValueError(f"covariance must be {p}x{p}, got {cov.shape}")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("moments must be finite")
-        if self.source not in ("implied", "sample", "post-plan"):
-            raise ValueError(f"unknown source tag {self.source!r}")
         if p and np.abs(cov - cov.T).max() > 1e-12:
             raise ValueError("covariance is not symmetric within 1e-12")
         if p and np.diag(cov).min() < -1e-12:
@@ -131,35 +120,25 @@ class EffectSummary:
         return float(self.to_descendants[0])
 
 
-def total_effects(
-    model: StructuralModel,
-    partition: VertexPartition,
-    condition_limit: float = CONDITION_LIMIT,
-) -> EffectSummary:
+def total_effects(model: StructuralModel, partition: VertexPartition) -> EffectSummary:
     """Reduced-form total effects of the treatment on its descendants."""
     coeff = model.coefficients
     s_names = partition.descendants
     a_ss = partition.submatrix(coeff, s_names, s_names)
     a_sx = partition.submatrix(coeff, s_names, (partition.treatment,))[:, 0]
 
-    system = np.eye(len(s_names)) - a_ss
-    if np.linalg.cond(system) > condition_limit:
-        raise SingularSystem(
-            "descendant system (I - A_ss) is numerically singular; "
-            "the model has no usable reduced form"
-        )
-    return EffectSummary(partition, np.linalg.solve(system, a_sx))
+    tau = solve(np.eye(len(s_names)) - a_ss, a_sx, SingularSystem(
+        "descendant system (I - A_ss) is numerically singular; "
+        "the model has no usable reduced form"
+    ))
+    return EffectSummary(partition, tau)
 
 
-def implied_moments(
-    model: StructuralModel,
-    stability_tol: float = STABILITY_TOL,
-    source: str = "implied",
-) -> MomentSummary:
+def implied_moments(model: StructuralModel) -> MomentSummary:
     """Equilibrium mean and covariance implied by a stable model."""
     n = model.n_variables
     rho = spectral_radius(model.coefficients)
-    if rho >= 1.0 - stability_tol:
+    if not is_stable(rho):
         raise UnstableModel(
             f"spectral radius {rho:.6g} is not below 1; equilibrium moments do not exist"
         )
@@ -168,53 +147,26 @@ def implied_moments(
     inv = np.linalg.solve(system, np.eye(n))
     cov = (inv * model.disturbance_variances) @ inv.T
     cov = 0.5 * (cov + cov.T)
-    return MomentSummary(model.variables, mean, cov, source=source)
-
-
-def _conditional_cov(
-    moments: MomentSummary,
-    rows: Sequence[str],
-    cols: Sequence[str],
-    conditioning: Sequence[str],
-    condition_limit: float,
-) -> np.ndarray:
-    """Schur-complement conditional covariance between two name blocks."""
-    sigma_rc = moments.cov_block(rows, cols)
-    if not conditioning:
-        return sigma_rc
-    sigma_zz = moments.cov_block(conditioning, conditioning)
-    if np.linalg.cond(sigma_zz) > condition_limit:
-        raise SingularBlock(
-            f"conditioning covariance for {tuple(conditioning)} is singular"
-        )
-    sigma_rz = moments.cov_block(rows, conditioning)
-    sigma_zc = moments.cov_block(conditioning, cols)
-    return sigma_rc - sigma_rz @ np.linalg.solve(sigma_zz, sigma_zc)
+    return MomentSummary(model.variables, mean, cov)
 
 
 def regression_blocks(
-    moments: MomentSummary,
-    rows: Sequence[str],
-    cols: Sequence[str],
-    conditioning: Sequence[str] = (),
-    condition_limit: float = CONDITION_LIMIT,
+    moments: MomentSummary, rows: Sequence[str], cols: Sequence[str]
 ) -> np.ndarray:
     """Population regression coefficients of ``rows`` on ``cols``.
 
-    Returns the (len(rows), len(cols)) matrix of conditional covariance of
-    rows with cols times the inverse conditional covariance of cols, with
-    conditioning handled by Schur complement.  An empty ``cols`` yields an
+    Returns the (len(rows), len(cols)) matrix of covariance of rows with
+    cols times the inverse covariance of cols.  An empty ``cols`` yields an
     empty matrix.
     """
     rows = tuple(rows)
     cols = tuple(cols)
     if not cols:
         return np.zeros((len(rows), 0))
-    sigma_rc = _conditional_cov(moments, rows, cols, conditioning, condition_limit)
-    sigma_cc = _conditional_cov(moments, cols, cols, conditioning, condition_limit)
-    if np.linalg.cond(sigma_cc) > condition_limit:
-        raise SingularBlock(f"covariance block for {cols} is singular")
-    return np.linalg.solve(sigma_cc.T, sigma_rc.T).T
+    sigma_rc = moments.cov_block(rows, cols)
+    sigma_cc = moments.cov_block(cols, cols)
+    singular = SingularBlock(f"covariance block for {cols} is singular")
+    return solve(sigma_cc.T, sigma_rc.T, singular).T
 
 
 @dataclass(frozen=True)
@@ -237,17 +189,14 @@ class RegressionBlocks:
 
     @classmethod
     def from_moments(
-        cls,
-        moments: MomentSummary,
-        partition: VertexPartition,
-        condition_limit: float = CONDITION_LIMIT,
+        cls, moments: MomentSummary, partition: VertexPartition
     ) -> "RegressionBlocks":
         x = (partition.treatment,)
         f = partition.controls
         w = partition.covariates
         return cls(
             partition=partition,
-            controls_on_treatment=regression_blocks(moments, f, x, (), condition_limit)[:, 0],
-            controls_on_covariates=regression_blocks(moments, f, w, (), condition_limit),
-            treatment_on_covariates=regression_blocks(moments, x, w, (), condition_limit)[0],
+            controls_on_treatment=regression_blocks(moments, f, x)[:, 0],
+            controls_on_covariates=regression_blocks(moments, f, w),
+            treatment_on_covariates=regression_blocks(moments, x, w)[0],
         )

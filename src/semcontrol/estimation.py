@@ -29,7 +29,7 @@ from .errors import (
     TooFewRows,
     WeakInstrument,
 )
-from .model import CONDITION_LIMIT, StructuralModel, model_from_dict
+from .model import PSD_TOL, StructuralModel, model_from_dict, solve
 
 #: Relative correlation scale below which an instrument is called weak.
 WEAK_INSTRUMENT_TOL = 1e-8
@@ -114,7 +114,7 @@ def sample_moments(data: Dataset) -> MomentSummary:
     mean = data.rows.mean(axis=0)
     cov = np.atleast_2d(np.cov(data.rows, rowvar=False, ddof=1))
     cov = 0.5 * (cov + cov.T)
-    return MomentSummary(data.columns, mean, cov, source="sample", n_obs=data.n)
+    return MomentSummary(data.columns, mean, cov, n_obs=data.n)
 
 
 def iv_estimate(
@@ -122,15 +122,16 @@ def iv_estimate(
     treatment: str,
     response: str,
     instrument: str,
-    relevance_tol: float = WEAK_INSTRUMENT_TOL,
 ) -> IVEstimate:
     """Single-instrument estimate cov(Y,Z) / cov(X,Z)."""
     sigma_xz = moments.cov(treatment, instrument)
     scale = np.sqrt(moments.var(treatment) * moments.var(instrument))
-    if abs(sigma_xz) < relevance_tol * scale:
+    if scale == 0.0:
+        raise WeakInstrument(f"{treatment} or {instrument} has zero variance")
+    if abs(sigma_xz) < WEAK_INSTRUMENT_TOL * scale:
         raise WeakInstrument(
             f"|cov({treatment}, {instrument})| = {abs(sigma_xz):.3g} is below the "
-            f"relevance threshold {relevance_tol:.1e} * {scale:.3g}"
+            f"relevance threshold {WEAK_INSTRUMENT_TOL:.1e} * {scale:.3g}"
         )
     sigma_yz = moments.cov(response, instrument)
     return IVEstimate(
@@ -145,8 +146,6 @@ def tsls_estimate(
     treatment: str,
     response: str,
     instruments: Sequence[str],
-    relevance_tol: float = WEAK_INSTRUMENT_TOL,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> IVEstimate:
     """Two-stage least-squares estimate with one or more instruments.
 
@@ -157,15 +156,13 @@ def tsls_estimate(
     if not instruments:
         raise ValueError("at least one instrument is required")
     sigma_zz = moments.cov_block(instruments, instruments)
-    if np.linalg.cond(sigma_zz) > condition_limit:
-        raise SingularInstrumentBlock(
-            f"instrument covariance block for {instruments} is rank deficient"
-        )
     sigma_zx = moments.cov_block(instruments, (treatment,))[:, 0]
+    first_stage = solve(sigma_zz, sigma_zx, SingularInstrumentBlock(
+        f"instrument covariance block for {instruments} is rank deficient"
+    ))
     sigma_zy = moments.cov_block(instruments, (response,))[:, 0]
-    first_stage = np.linalg.solve(sigma_zz, sigma_zx)
     projected_var = float(first_stage @ sigma_zx)
-    if projected_var < relevance_tol**2 * moments.var(treatment):
+    if projected_var < WEAK_INSTRUMENT_TOL**2 * moments.var(treatment):
         raise WeakInstrument(
             f"projected treatment variance {projected_var:.3g} is below the "
             f"relevance threshold"
@@ -212,9 +209,17 @@ def covariance_from_dict(payload: dict) -> MomentSummary:
     except (TypeError, ValueError):
         raise InputFormatError(f"'n' must be an integer, got {n_obs!r}") from None
     try:
-        return MomentSummary(tuple(variables), mean, matrix, source="sample", n_obs=n_obs)
+        moments = MomentSummary(tuple(variables), mean, matrix, n_obs=n_obs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
+    # implied and sample moments are PSD by construction; a file need not be
+    if variables:
+        lowest = np.linalg.eigvalsh(moments.covariance)[0]
+        if lowest < -PSD_TOL * np.diag(moments.covariance).max():
+            raise InputFormatError(
+                f"'matrix' is not positive semidefinite: smallest eigenvalue {lowest:.3g}"
+            )
+    return moments
 
 
 def load_covariance(path: str | Path) -> MomentSummary:

@@ -31,11 +31,14 @@ from .errors import (
     ResponseNotDescendant,
 )
 
-#: Default margin below one at which a spectral radius is still called stable.
+#: Margin below one that a spectral radius must clear to be called stable.
 STABILITY_TOL = 1e-9
 
-#: Condition-number estimate above which linear solves are declared singular.
+#: Condition number above which a linear system is declared singular.
 CONDITION_LIMIT = 1e12
+
+#: Eigenvalue floor for calling a symmetric matrix positive semidefinite.
+PSD_TOL = 1e-9
 
 
 def _readonly(values, dtype=float) -> np.ndarray:
@@ -89,9 +92,6 @@ class PathDiagram:
 
     def parents(self, name: str) -> tuple[str, ...]:
         return tuple(s for s, t in self.edges if t == name)
-
-    def children(self, name: str) -> tuple[str, ...]:
-        return tuple(t for s, t in self.edges if s == name)
 
     def descendants(self, name: str) -> set[str]:
         """Vertices reachable from ``name`` by directed paths, excluding ``name``."""
@@ -243,6 +243,19 @@ class StabilityReport:
     margin: float
 
 
+def is_stable(rho: float) -> bool:
+    """True when a spectral radius is below one by more than :data:`STABILITY_TOL`."""
+    return bool(rho < 1.0 - STABILITY_TOL)
+
+
+def solve(matrix: np.ndarray, rhs: np.ndarray, error: Exception) -> np.ndarray:
+    """``np.linalg.solve(matrix, rhs)``, raising ``error`` when ``matrix`` is
+    numerically singular (condition number above :data:`CONDITION_LIMIT`)."""
+    if np.linalg.cond(matrix) > CONDITION_LIMIT:
+        raise error
+    return np.linalg.solve(matrix, rhs)
+
+
 def spectral_radius(matrix: np.ndarray) -> float:
     """Largest eigenvalue modulus of a square real matrix.
 
@@ -378,11 +391,7 @@ def partition_vertices(
     )
 
 
-def check_stability(
-    model: StructuralModel,
-    partition: VertexPartition,
-    stability_tol: float = STABILITY_TOL,
-) -> StabilityReport:
+def check_stability(model: StructuralModel, partition: VertexPartition) -> StabilityReport:
     """Stability of the model via its two characteristic-equation factors.
 
     The characteristic polynomial of the full coefficient matrix factors into
@@ -399,7 +408,7 @@ def check_stability(
     return StabilityReport(
         nondescendant_radius=rho_t,
         feedback_radius=rho_fb,
-        stable=bool(worst < 1.0 - stability_tol),
+        stable=is_stable(worst),
         margin=1.0 - worst,
     )
 

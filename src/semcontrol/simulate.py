@@ -25,13 +25,7 @@ from scipy.special import ndtri
 from .control import ControlPlan, apply_plan
 from .errors import SingularSystem, UnstableModelWarning, UnstablePlan
 from .estimation import Dataset
-from .model import (
-    CONDITION_LIMIT,
-    STABILITY_TOL,
-    StructuralModel,
-    VertexPartition,
-    spectral_radius,
-)
+from .model import StructuralModel, VertexPartition, is_stable, solve, spectral_radius
 
 RNG_ALGORITHM = "philox4x64-counter"
 
@@ -84,7 +78,6 @@ def draw_equilibrium(
     model: StructuralModel,
     config: SimulationConfig,
     row_range: tuple[int, int] | None = None,
-    condition_limit: float = CONDITION_LIMIT,
 ) -> Dataset:
     """Sample equilibrium data; deterministic given (model, config).
 
@@ -94,14 +87,13 @@ def draw_equilibrium(
     An unstable model still has a solvable equilibrium but cannot reach it
     by iteration, so sampling one only emits a warning.
     """
-    return _draw(model, config, row_range, condition_limit, warn_unstable=True)
+    return _draw(model, config, row_range, warn_unstable=True)
 
 
 def _draw(
     model: StructuralModel,
     config: SimulationConfig,
     row_range: tuple[int, int] | None,
-    condition_limit: float,
     warn_unstable: bool,
 ) -> Dataset:
     """:func:`draw_equilibrium`; callers that already gated the spectral radius skip it."""
@@ -110,10 +102,10 @@ def _draw(
         raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
 
     n = model.n_variables
-    system = np.eye(n) - model.coefficients
-    if np.linalg.cond(system) > condition_limit:
-        raise SingularSystem("(I - A) is numerically singular; equilibrium is not unique")
-    if warn_unstable and spectral_radius(model.coefficients) >= 1.0 - STABILITY_TOL:
+    inverse = solve(np.eye(n) - model.coefficients, np.eye(n), SingularSystem(
+        "(I - A) is numerically singular; equilibrium is not unique"
+    ))
+    if warn_unstable and not is_stable(spectral_radius(model.coefficients)):
         warnings.warn(
             "model is not stable: equilibrium draws exist but are not reachable "
             "by iteration from any starting point",
@@ -122,7 +114,6 @@ def _draw(
         )
 
     eps = _disturbances(model, config, start, stop)
-    inverse = np.linalg.solve(system, np.eye(n))
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
     values = np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
@@ -162,7 +153,6 @@ def simulate_plan(
     partition: VertexPartition,
     plan: ControlPlan,
     config: SimulationConfig,
-    allow_unstable: bool = False,
     row_range: tuple[int, int] | None = None,
 ) -> Dataset:
     """Sample equilibrium data from the model after conducting a plan.
@@ -171,16 +161,17 @@ def simulate_plan(
     treatment's disturbance carries the plan's noise variance.  The sampler
     gates on the spectral radius of the post-plan coefficient matrix, which
     is the exact condition for the sampled equilibrium to be the reachable
-    steady state.
+    steady state; ``draw_equilibrium(apply_plan(...))`` samples an
+    unreachable one anyway, with a warning.
     """
     post = apply_plan(model, partition, plan)
     rho = spectral_radius(post.coefficients)
-    if rho >= 1.0 - STABILITY_TOL and not allow_unstable:
+    if not is_stable(rho):
         raise UnstablePlan(
-            f"post-plan spectral radius {rho:.6g} is not below 1; pass "
-            "allow_unstable=True to sample the (unreachable) equilibrium anyway"
+            f"post-plan spectral radius {rho:.6g} is not below 1; the controlled "
+            "equilibrium is not reachable"
         )
-    return _draw(post, config, row_range, CONDITION_LIMIT, warn_unstable=False)
+    return _draw(post, config, row_range, warn_unstable=False)
 
 
 def save_run(

@@ -188,9 +188,7 @@ def test_criterion_07_zero_covariance_after_optimal_plan(family):
         optimal_plan = sc.ControlPlan(
             plan.set_point, plan.feedback, best, plan.noise_variance
         )
-        post = sc.implied_moments(
-            sc.apply_plan(model, partition, optimal_plan), source="post-plan"
-        )
+        post = sc.implied_moments(sc.apply_plan(model, partition, optimal_plan))
         worst = max(
             abs(post.cov(partition.response, w)) for w in partition.covariates
         )
@@ -205,9 +203,7 @@ def test_criterion_08_surgery_consistency(family):
     failures = []
     for seed, (model, partition, moments, effects, blocks, plan) in zip(FAMILY_SEEDS, family):
         predicted = sc.plan_variance(moments, effects, blocks, plan)
-        post = sc.implied_moments(
-            sc.apply_plan(model, partition, plan), source="post-plan"
-        )
+        post = sc.implied_moments(sc.apply_plan(model, partition, plan))
         mean_gap = abs(predicted.response_mean - post.mean_of((partition.response,))[0])
         var_gap = abs(predicted.response_variance - post.var(partition.response))
         if mean_gap > 1e-9 or var_gap > 1e-9:

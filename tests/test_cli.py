@@ -1,6 +1,7 @@
 """CLI surface: grammar, exit codes, report formats, pipeline consistency."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,24 @@ class TestExitCodes:
         assert not payload["results"]["valid"]
         assert any("zero coefficient" in v for v in payload["results"]["violations"])
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--model", "{model}"],
+        ["stability", "--model", "{model}"],
+        ["effects", "--model", "{model}", "--treatment", "X", "--response", "Y"],
+        ["plan-eval", "--model", "{model}", "--treatment", "X", "--response", "Y"],
+        ["plan-optimize", "--model", "{model}", "--treatment", "X", "--response", "Y",
+         "--W", "Z1"],
+        ["estimate", "--cov", "{cov}", "--treatment", "X", "--response", "Y",
+         "--instruments", "Z3"],
+        ["simulate", "--model", "{model}", "--out", "{out}"],
+        ["reproduce-iverson"],
+    ])
+    def test_tolerance_flag_is_usage_error(self, model_file, cov_file, tmp_path, capsys, argv):
+        paths = {"model": model_file, "cov": cov_file, "out": str(tmp_path / "out.csv")}
+        code = run_command([arg.format(**paths) for arg in argv] + ["--tol", "0.5"])
+        assert code == 1
+        assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, capsys):
         assert run_command(["validate", "--model", "/nonexistent/model.json"]) == 2
 
@@ -111,6 +130,31 @@ class TestStability:
         code, payload = run_json(capsys, ["stability", "--model", model_file])
         assert code == 0
         assert "spectral_radius" in payload["results"]
+
+    @pytest.mark.parametrize("gap, stable", [(1e-10, False), (1e-8, True)])
+    def test_every_model_gate_agrees_at_the_tolerance_band(self, tmp_path, capsys, gap, stable):
+        # the two-cycle's eigenvalues are +-rho, straddling 1 - STABILITY_TOL
+        rho = 1.0 - gap
+        model = sc.StructuralModel.from_edges(
+            [("X", "Y", rho), ("Y", "X", rho)], variables=["Y", "X"]
+        )
+        path = tmp_path / "model.json"
+        sc.save_model(model, path)
+        part = ["--treatment", "X", "--response", "Y"]
+        for argv in (["stability"], ["stability", *part], ["effects", *part],
+                     ["plan-eval", *part]):
+            assert run_command([*argv, "--model", str(path)]) == (0 if stable else 2), argv
+        config = sc.SimulationConfig(10)
+        if stable:
+            sc.implied_moments(model)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sc.draw_equilibrium(model, config)
+        else:
+            with pytest.raises(sc.UnstableModel):
+                sc.implied_moments(model)
+            with pytest.warns(sc.UnstableModelWarning):
+                sc.draw_equilibrium(model, config)
 
     def test_unstable_model_exits_two(self, unstable_model_file, capsys):
         code, payload = run_json(capsys, [
@@ -218,6 +262,27 @@ class TestPlanCommands:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["plan-eval", "simulate"])
+    @pytest.mark.parametrize("flags, named", [
+        (["--x", "99"], "--x"),
+        (["--a", "7"], "--a"),
+        (["--b", "optimal"], "--b"),
+        (["--sigma-eps", "0"], "--sigma-eps"),
+        (["--x", "99", "--a", "7"], "--x, --a"),
+    ])
+    def test_plan_file_with_plan_flags_is_usage_error(
+        self, model_file, tmp_path, capsys, command, flags, named
+    ):
+        out = tmp_path / "out.csv"
+        code = run_command([
+            command, "--model", model_file, "--treatment", "X", "--response", "Y",
+            "--W", "Z1", "--plan", write_json(tmp_path / "plan.json", {"x": 2.0}),
+            *flags, "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: --plan cannot be combined with {named}\n"
+        assert not out.exists()
+
     def test_optimize_reports_gain_mean_and_variance(self, model_file, cov_file, capsys):
         code, payload = run_json(capsys, [
             "plan-optimize", "--model", model_file, "--cov", cov_file,
@@ -279,6 +344,23 @@ class TestEstimate:
         ])
         assert code == 0
         assert payload["results"]["method"] == "tsls"
+
+    @pytest.mark.parametrize("flag", ["--cov", "--data"])
+    def test_zero_variance_instrument_is_weak(self, tmp_path, capsys, flag):
+        if flag == "--cov":
+            path = write_json(tmp_path / "cov.json", {
+                "variables": ["Y", "X", "Z"],
+                "matrix": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]],
+            })
+        else:
+            path = tmp_path / "obs.csv"
+            path.write_text("Y,X,Z\n1.0,2.0,3.0\n0.5,1.0,3.0\n2.0,0.0,3.0\n")
+        code = run_command([
+            "estimate", flag, str(path),
+            "--treatment", "X", "--response", "Y", "--instruments", "Z",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: X or Z has zero variance\n"
 
     def test_requires_a_moment_source(self, capsys):
         assert run_command([
@@ -452,6 +534,22 @@ class TestMalformedInput:
         ])
         assert code == 2
         assert capsys.readouterr().err == "error: duplicate variable names: ['Y']\n"
+
+    def test_non_psd_covariance_exits_two(self, model_file, tmp_path, capsys):
+        mom = sc.iverson_moments()
+        cov = mom.covariance.copy()
+        x, y = mom.index("X"), mom.index("Y")
+        cov[x, y] = cov[y, x] = 2.0 * np.sqrt(cov[x, x] * cov[y, y])  # corr(X, Y) = 2
+        path = write_json(tmp_path / "cov.json", {
+            "variables": list(mom.variables), "matrix": cov.tolist(),
+        })
+        code = run_command([
+            "plan-eval", "--model", model_file, "--cov", path,
+            "--treatment", "X", "--response", "Y", "--W", "Z1", "--b", "optimal",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'matrix' is not positive semidefinite")
 
 
 class TestReproduceIverson:

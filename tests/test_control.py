@@ -229,9 +229,7 @@ class TestPlanMean:
         moments = sc.implied_moments(model)
         blocks = sc.RegressionBlocks.from_moments(moments, partition)
         value = sc.plan_mean(moments, effects, plan)
-        post = sc.implied_moments(
-            sc.apply_plan(model, partition, plan), source="post-plan"
-        )
+        post = sc.implied_moments(sc.apply_plan(model, partition, plan))
         assert value == pytest.approx(post.mean_of((partition.response,))[0], abs=1e-10)
 
 
@@ -311,10 +309,7 @@ class TestSurgeryConsistency:
         moments = sc.implied_moments(model)
         blocks = sc.RegressionBlocks.from_moments(moments, partition)
         effect = sc.plan_variance(moments, effects, blocks, plan)
-        post = sc.implied_moments(
-            sc.apply_plan(model, partition, plan), source="post-plan"
-        )
-        assert post.source == "post-plan"
+        post = sc.implied_moments(sc.apply_plan(model, partition, plan))
         assert effect.response_mean == pytest.approx(
             post.mean_of((partition.response,))[0], abs=1e-9
         )
@@ -425,7 +420,7 @@ class TestCovariateCompare:
         cov = np.eye(5)
         cov[0, 3] = cov[3, 0] = 0.5  # Y with W1
         cov[1, 4] = cov[4, 1] = 0.5  # F2 with W2
-        moments = sc.MomentSummary(partition.variables, np.zeros(5), cov, source="sample")
+        moments = sc.MomentSummary(partition.variables, np.zeros(5), cov)
         cmp = sc.covariate_compare(moments, effects, ("W1",), ("W2",))
         assert not cmp.first_no_worse and not cmp.second_no_worse
         assert cmp.verdict == "incomparable"

@@ -64,7 +64,6 @@ class TestImpliedMoments:
         mom = sc.implied_moments(model)
         assert np.allclose(mom.mean, [1.0, -2.0])
         assert np.allclose(mom.covariance, np.diag([2.0, 0.5]))
-        assert mom.source == "implied"
 
     def test_single_edge_variance_propagation(self):
         sigma1, sigma2, c = 1.7, 0.6, 0.8
@@ -147,10 +146,6 @@ class TestMomentSummary:
         with pytest.raises(ValueError, match="finite"):
             sc.MomentSummary(("A",), np.zeros(1), np.array([[np.nan]]))
 
-    def test_unknown_source_tag_rejected(self):
-        with pytest.raises(ValueError, match="source"):
-            sc.MomentSummary(("A",), np.zeros(1), np.eye(1), source="guessed")
-
     def test_named_access(self, iverson_moments):
         assert iverson_moments.var("X") == pytest.approx(1.216)
         assert iverson_moments.cov("Y", "Z1") == pytest.approx(-0.085)
@@ -173,7 +168,7 @@ class TestRegressionBlocks:
             [0.3, 1.0, 0.0],
             [0.4, 0.0, 1.0],
         ])
-        mom = sc.MomentSummary(("Y", "W1", "W2"), np.zeros(3), cov, source="sample")
+        mom = sc.MomentSummary(("Y", "W1", "W2"), np.zeros(3), cov)
         b = sc.regression_blocks(mom, ("Y",), ("W1", "W2"))
         assert np.allclose(b, [[0.3, 0.4]], atol=1e-12)
 
@@ -193,27 +188,13 @@ class TestRegressionBlocks:
             b @ mom.cov_block(cols, cols), mom.cov_block(rows, cols), atol=1e-9
         )
 
-    def test_conditional_matches_least_squares(self):
-        # OLS of Y on (X, Z) from the same sample is the Schur-complement ratio
-        rng = np.random.default_rng(5)
-        n = 2000
-        z = rng.normal(size=n)
-        x = 0.6 * z + rng.normal(size=n)
-        y = 1.3 * x - 0.8 * z + rng.normal(size=n)
-        data = sc.Dataset(("Y", "X", "Z"), np.column_stack([y, x, z]))
-        mom = sc.sample_moments(data)
-        b_cond = sc.regression_blocks(mom, ("Y",), ("X",), conditioning=("Z",))
-        design = np.column_stack([x, z, np.ones(n)])
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        assert b_cond[0, 0] == pytest.approx(coef[0], abs=1e-10)
-
     def test_singular_block_rejected(self):
         cov = np.array([
             [1.0, 1.0, 0.5],
             [1.0, 1.0, 0.5],
             [0.5, 0.5, 1.0],
         ])
-        mom = sc.MomentSummary(("A", "B", "C"), np.zeros(3), cov, source="sample")
+        mom = sc.MomentSummary(("A", "B", "C"), np.zeros(3), cov)
         with pytest.raises(sc.SingularBlock):
             sc.regression_blocks(mom, ("C",), ("A", "B"))
 

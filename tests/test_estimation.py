@@ -36,7 +36,6 @@ class TestSampleMoments:
         data = sc.Dataset(("A", "B"), np.array([[1.0, 0.0], [1.0, 1.5], [1.0, 3.0]]))
         mom = sc.sample_moments(data)
         assert mom.var("A") == 0.0
-        assert mom.source == "sample"
         assert mom.n_obs == 3
 
     def test_two_point_covariance_with_bessel_divisor(self):
@@ -116,7 +115,7 @@ class TestIVEstimate:
             [0.5, 1.0, 0.3],
             [0.3, 0.3, 1.0],
         ])
-        mom = sc.MomentSummary(("Y", "X", "Z"), np.zeros(3), cov, source="sample")
+        mom = sc.MomentSummary(("Y", "X", "Z"), np.zeros(3), cov)
         assert sc.iv_estimate(mom, "X", "Y", "Z").gamma_hat == 1.0
 
     def test_recovers_known_effect_from_draws(self, loop_with_instrument):
@@ -129,7 +128,7 @@ class TestIVEstimate:
     def test_weak_instrument_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = cov[1, 0] = 0.4
-        mom = sc.MomentSummary(("Y", "X", "Z"), np.zeros(3), cov, source="sample")
+        mom = sc.MomentSummary(("Y", "X", "Z"), np.zeros(3), cov)
         with pytest.raises(sc.WeakInstrument):
             sc.iv_estimate(mom, "X", "Y", "Z")
 
@@ -172,7 +171,7 @@ class TestTSLSEstimate:
     def test_weak_projected_variance_rejected(self):
         cov = np.eye(3)
         cov[0, 1] = cov[1, 0] = 0.4
-        mom = sc.MomentSummary(("Y", "X", "Z"), np.zeros(3), cov, source="sample")
+        mom = sc.MomentSummary(("Y", "X", "Z"), np.zeros(3), cov)
         with pytest.raises(sc.WeakInstrument):
             sc.tsls_estimate(mom, "X", "Y", ("Z",))
 
@@ -188,7 +187,6 @@ class TestCovarianceFiles:
             '{"variables": ["A", "B"], "matrix": [[1.0, 0.2], [0.2, 2.0]], "n": 10}'
         )
         mom = sc.load_covariance(path)
-        assert mom.source == "sample"
         assert mom.n_obs == 10
         assert np.allclose(mom.mean, 0.0)
         assert mom.cov("A", "B") == 0.2
