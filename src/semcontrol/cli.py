@@ -133,10 +133,19 @@ def _floats(raw: str, flag: str) -> np.ndarray:
 # Shared pipeline pieces
 
 
+def _given(args, *flags) -> list[str]:
+    """The flags among ``flags`` that the command line set."""
+    return [flag for flag in flags
+            if getattr(args, flag.lstrip("-").replace("-", "_"), None) is not None]
+
+
 def _require(args, *flags):
     for flag in flags:
-        if getattr(args, flag.lstrip("-").replace("-", "_"), None) is None:
+        if not _given(args, flag):
             raise UsageError(f"{args.command} requires {flag}")
+
+
+_PLAN_FLAGS = ("--x", "--a", "--b", "--sigma-eps")
 
 
 def _partition(model, args):
@@ -191,11 +200,9 @@ def _eval_pipeline(args, model):
     resolved plan, report inputs); ``optimal_b`` runs only when the plan
     asks for optimal covariate gains.
     """
-    if args.plan:
-        flags = {"--x": args.x, "--a": args.a, "--b": args.b, "--sigma-eps": args.sigma_eps}
-        given = [flag for flag, value in flags.items() if value is not None]
-        if given:
-            raise UsageError(f"--plan cannot be combined with {', '.join(given)}")
+    given = _given(args, *_PLAN_FLAGS)
+    if args.plan and given:
+        raise UsageError(f"--plan cannot be combined with {', '.join(given)}")
     part = _partition(model, args)
     _require_stable(model, part)
     moments, source = _moments(model, args)
@@ -361,9 +368,16 @@ def _cmd_estimate(args):
 
 def _cmd_simulate(args):
     _require(args, "--out")
+    planned = bool(args.plan or args.treatment)
+    ignored = _given(args, *_PLAN_FLAGS, "--response", "--F", "--W", "--cov", "--data")
+    if not planned and ignored:
+        raise UsageError(
+            "simulate without --plan or --treatment draws observational data "
+            f"and cannot take {', '.join(ignored)}"
+        )
     model = load_model(args.model)
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
-    if args.plan or args.treatment:
+    if planned:
         part, *_, plan, evaluated = _eval_pipeline(args, model)
         digest = evaluated["model_hash"]
         data = simulate_plan(model, part, plan, config)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -67,35 +68,83 @@ class Dataset:
             raise ValueError(f"unknown column {name!r}") from None
 
     def to_csv(self, path: str | Path) -> None:
+        """Header row, then each value as its shortest round-trip ``repr``, CRLF line ends.
+
+        The rows are formatted a block of about ``_CSV_BLOCK_CELLS`` cells at a
+        time by one ``%`` call; ``%r`` of a float is its ``repr``, so the bytes
+        are those of a ``csv.writer`` row of ``repr`` strings.
+        """
+        k = len(self.columns)
+        line = ",".join(["%r"] * k) + "\r\n"
+        step = max(1, _CSV_BLOCK_CELLS // max(k, 1))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.columns)
-            for row in self.rows:
-                writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh).writerow(self.columns)
+            for start in range(0, self.n, step):
+                block = self.rows[start:start + step]
+                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
+        """A header row, then rows of comma-separated numbers parsed by ``np.loadtxt``.
+
+        Cells may be quoted and padded, blank lines are skipped, and nothing
+        is a comment.  A malformed file raises :class:`InputFormatError`
+        naming its first bad line.
+        """
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
             try:
-                header = next(reader)
+                header = next(csv.reader(fh))
             except StopIteration:
                 raise InputFormatError(f"{path}: empty CSV file") from None
-            data = []
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise InputFormatError(f"{path}:{lineno}: ragged row")
-                try:
-                    data.append([float(v) for v in row])
-                except ValueError:
-                    raise InputFormatError(
-                        f"{path}:{lineno}: non-numeric or missing cell"
-                    ) from None
-        if not data:
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported as "no data rows" below
+                    warnings.filterwarnings(
+                        "ignore", "loadtxt: input contained no data", UserWarning)
+                    rows = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
+                                      quotechar='"', ndmin=2)
+            except ValueError:
+                rows = None
+        if rows is not None and not rows.size:
             raise InputFormatError(f"{path}: no data rows")
-        return cls(tuple(header), np.array(data))
+        if rows is None or rows.shape[1] != len(header):
+            raise InputFormatError(_csv_fault(path, len(header)))
+        return cls(tuple(header), rows)
+
+
+#: Cells formatted per ``%`` call in :meth:`Dataset.to_csv`; bounds its memory.
+_CSV_BLOCK_CELLS = 2**18
+
+
+def _csv_fault(path, width: int) -> str:
+    """The message naming the first data line that ``np.loadtxt`` rejected.
+
+    Only diagnoses: it walks the rows again, a cell at a time, and accepts a
+    cell only if ``loadtxt`` would, so ``1_000`` and non-ASCII digits, which
+    Python's ``float`` reads, count as non-numeric.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                return f"{path}:{lineno}: ragged row"
+            if not all(_is_number(cell) for cell in row):
+                return f"{path}:{lineno}: non-numeric or missing cell"
+    return f"{path}: unreadable CSV"
+
+
+def _is_number(cell: str) -> bool:
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        return False
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)

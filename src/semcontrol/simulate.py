@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .control import ControlPlan, apply_plan
 from .errors import SingularSystem, UnstableModelWarning, UnstablePlan
@@ -68,6 +67,9 @@ def _disturbances(model: StructuralModel, config: SimulationConfig,
     u = _uniform_rows(config.seed, model.n_variables, start, stop)
     scale = np.sqrt(model.disturbance_variances)
     if config.law == "gaussian":
+        # imported here so that only Gaussian draws pay for loading scipy
+        from scipy.special import ndtri
+
         # random() can return exactly 0, which ndtri maps to -inf
         u = np.where(u == 0.0, 2.0**-54, u)
         return ndtri(u) * scale

@@ -424,6 +424,27 @@ class TestSimulateCommand:
         assert "model is not stable" in capsys.readouterr().err
         assert not (tmp_path / "post.csv").exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--x", "99"], "--x"),
+        (["--a", "7", "--b", "optimal", "--sigma-eps", "0"], "--a, --b, --sigma-eps"),
+        (["--response", "Y"], "--response"),
+        (["--F", "Y", "--W", "Z1"], "--F, --W"),
+        (["--cov", "cov.json"], "--cov"),
+        (["--data", "obs.csv"], "--data"),
+    ], ids=["set-point", "gains", "response", "blocks", "cov", "data"])
+    def test_observational_run_rejects_flags_it_would_ignore(
+        self, model_file, tmp_path, capsys, flags, named
+    ):
+        out = tmp_path / "draws.csv"
+        code = run_command(["simulate", "--model", model_file, *flags, "--n", "10",
+                            "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: simulate without --plan or --treatment draws observational "
+            f"data and cannot take {named}\n"
+        )
+        assert not out.exists()
+
 
 class TestReports:
     def test_json_report_round_trips(self, model_file, capsys):

@@ -1,15 +1,22 @@
 """Sample moments and instrumental-variable estimation."""
 
+import csv
 import os
 import subprocess
 import sys
 import zipfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import semcontrol as sc
+from semcontrol import estimation
+from semcontrol.cli import run_command
 
 
 def _iv_stderr(data, treatment, response, instrument, gamma_hat):
@@ -98,6 +105,134 @@ class TestDataset:
         path.write_text("A,B\n1.0,2.0,3.0\n")
         with pytest.raises(sc.InputFormatError, match="ragged"):
             sc.Dataset.from_csv(path)
+
+
+def _reference_to_csv(data, path):
+    """The row-at-a-time writer that Dataset.to_csv must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(data.columns)
+        for row in data.rows:
+            writer.writerow([repr(float(v)) for v in row])
+
+
+#: Finite values whose shortest repr takes every form: signed zeros,
+#: subnormals, the extremes, and the switches to exponent notation.
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                1.7976931348623157e308, -1.7976931348623157e308,
+                1e16, -1e16, 9999999999999998.0, 1e-5, 0.0001, 0.1, -1.0 / 3.0]
+
+
+def _assert_round_trip(tmp_path, data):
+    ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+    data.to_csv(ours)
+    _reference_to_csv(data, reference)
+    assert ours.read_bytes() == reference.read_bytes()
+    loaded = sc.Dataset.from_csv(ours)
+    assert loaded.columns == data.columns
+    assert np.array_equal(loaded.rows, data.rows)
+    assert loaded.rows.tobytes() == data.rows.tobytes()  # -0.0 keeps its sign
+
+
+class TestCsvFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 600), block_cells=st.integers(1, 2048))
+    def test_writer_matches_row_writer_across_blocks(self, tmp_path_factory, data, width,
+                                                     block_cells):
+        # a small block makes rows on both sides of a block boundary cheap to test
+        step = max(1, block_cells // width)
+        n = data.draw(st.sampled_from([1, step - 1, step, step + 1, 2 * step + 1, 3 * step])
+                      .filter(lambda rows: rows >= 1), label="rows")
+        values = data.draw(arrays(float, (n, width), elements=st.one_of(
+            st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))))
+        dataset = sc.Dataset(tuple(f"v{j}" for j in range(width)), values)
+        with mock.patch.object(estimation, "_CSV_BLOCK_CELLS", block_cells):
+            _assert_round_trip(tmp_path_factory.mktemp("csv"), dataset)
+
+    @pytest.mark.parametrize("width, extra", [(600, -1), (600, 1), (5, 1)])
+    def test_writer_matches_row_writer_at_the_block_size(self, tmp_path, width, extra):
+        n = estimation._CSV_BLOCK_CELLS // width + extra
+        values = np.random.default_rng(width).standard_normal((n, width))
+        values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+        _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(width)), values))
+
+    def test_header_is_written_as_csv(self, tmp_path):
+        columns = ("plain", "with,comma", 'with "quote"', "with\r\nbreak", " padded ")
+        _assert_round_trip(tmp_path, sc.Dataset(columns, np.arange(10.0).reshape(2, 5)))
+
+
+_HEADER = "X,Y,Z\r\n"
+_ROWS = "1,2,3\r\n2,1,5\r\n4,4,1\r\n"
+_PARSED = [[1.0, 2.0, 3.0], [2.0, 1.0, 5.0], [4.0, 4.0, 1.0]]
+
+
+class TestMalformedCsv:
+    """Each malformed file gives the outcome the row-at-a-time reader gave.
+
+    Two outcomes changed with the move to ``np.loadtxt``: ``1_000`` and
+    non-ASCII digits, which Python's ``float`` reads, are non-numeric cells.
+    """
+
+    @pytest.mark.parametrize("text, parsed", [
+        (_HEADER + "1,2,3\r\n\r\n2,1,5\r\n\r\n4,4,1\r\n\r\n", _PARSED),
+        ('"X","Y","Z"\r\n"1","2","3"\r\n2,"1",5\r\n4,4,"1"\r\n', _PARSED),
+        (_HEADER + " 1 , 2,3 \r\n2 ,1, 5\r\n\t4,4,1\r\n", _PARSED),
+        ("X,Y,Z\n1,2,3\n2,1,5\n4,4,1\n", _PARSED),
+        ("X,Y,Z\r1,2,3\r2,1,5\r4,4,1\r", _PARSED),
+        (_HEADER + "1,2,3\r\n2,1,5\r\n4,4,1", _PARSED),
+        (_HEADER + "1e0,+2,3.\r\n2,.1e1,5\r\n4,4,1\r\n", _PARSED),
+    ], ids=["blank-lines", "quoted", "padded", "lf", "bare-cr", "no-final-newline",
+            "number-forms"])
+    def test_accepted(self, tmp_path, capsys, text, parsed):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text.encode())
+        data = sc.Dataset.from_csv(path)
+        assert data.columns == ("X", "Y", "Z")
+        assert data.rows.tolist() == parsed
+        assert self._estimate(path, capsys)[0] == 0
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("", sc.InputFormatError, "{path}: empty CSV file"),
+        (_HEADER, sc.InputFormatError, "{path}: no data rows"),
+        (_HEADER + "\r\n\r\n", sc.InputFormatError, "{path}: no data rows"),
+        (_HEADER + "1,2,3\r\n   \r\n" + _ROWS, sc.InputFormatError, "{path}:3: ragged row"),
+        (_HEADER + "1,2,3,\r\n" + _ROWS, sc.InputFormatError, "{path}:2: ragged row"),
+        (_HEADER + "1,2\r\n" + _ROWS, sc.InputFormatError, "{path}:2: ragged row"),
+        (_HEADER + "1,2,3\r\n2,1,5,7\r\n", sc.InputFormatError, "{path}:3: ragged row"),
+        ("X,Y\r\n" + _ROWS, sc.InputFormatError, "{path}:2: ragged row"),
+        (_HEADER + "1,2,3\r\n2,abc,5\r\n", sc.InputFormatError,
+         "{path}:3: non-numeric or missing cell"),
+        (_HEADER + "1,,3\r\n", sc.InputFormatError, "{path}:2: non-numeric or missing cell"),
+        (_HEADER + '"1,5",2,3\r\n', sc.InputFormatError,
+         "{path}:2: non-numeric or missing cell"),
+        (_HEADER + "# comment\r\n" + _ROWS, sc.InputFormatError, "{path}:2: ragged row"),
+        ("X\r\n1\r\n#1\r\n", sc.InputFormatError, "{path}:3: non-numeric or missing cell"),
+        (_HEADER + "nan,2,3\r\n" + _ROWS, ValueError,
+         "dataset contains missing or non-finite values"),
+        (_HEADER + "1e400,2,3\r\n" + _ROWS, ValueError,
+         "dataset contains missing or non-finite values"),
+        (_HEADER + _ROWS + "1_000,2,3\r\n", sc.InputFormatError,
+         "{path}:5: non-numeric or missing cell"),
+        (_HEADER + "\u0661,2,3\r\n" + _ROWS, sc.InputFormatError,
+         "{path}:2: non-numeric or missing cell"),
+    ], ids=["empty", "header-only", "blank-only", "whitespace-line", "trailing-comma",
+            "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell", "empty-cell",
+            "quoted-comma", "hash-line", "hash-one-column", "nan", "overflow", "underscore",
+            "arabic-indic-digit"])
+    def test_rejected(self, tmp_path, capsys, text, error, message):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text.encode())
+        message = message.format(path=path)
+        with pytest.raises(error) as info:
+            sc.Dataset.from_csv(path)
+        assert type(info.value) is error and str(info.value) == message
+        assert self._estimate(path, capsys) == (2, f"error: {message}\n")
+
+    @staticmethod
+    def _estimate(path, capsys):
+        code = run_command(["estimate", "--data", str(path), "--treatment", "X",
+                            "--response", "Y", "--instruments", "Z"])
+        return code, capsys.readouterr().err
 
 
 class TestIVEstimate:

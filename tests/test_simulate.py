@@ -1,6 +1,10 @@
 """Equilibrium sampler determinism, chunking, iteration, and plan simulation."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,3 +210,57 @@ class TestSaveRun:
             "rng": sc.RNG_ALGORITHM,
             "law": "uniform",
         }
+
+
+class TestSeededBits:
+    #: First two rows of the seed-0 Iverson draw, as float.hex, per law.
+    GOLDEN = {
+        "gaussian": [
+            ["-0x1.1e5ad95148c45p+1", "-0x1.0d6f5a911e00ap+0", "-0x1.380f15f728ce0p+0",
+             "0x1.4c209a0cbd7d0p-3", "0x1.86e90d5955b0bp-8"],
+            ["-0x1.8b08ad0bc0083p-1", "-0x1.2f96aadb01ec8p+0", "0x1.1de4e4d3212bap-1",
+             "-0x1.1ed4b0cf7fed6p+0", "0x1.760561ab129fep-3"],
+        ],
+        "uniform": [
+            ["-0x1.a58faaa184f84p+0", "-0x1.096ee66db32c0p+0", "-0x1.589768c355c43p+0",
+             "0x1.c8fcfe0f48ab2p-3", "0x1.0e1ce5e537fdfp-7"],
+            ["-0x1.fb26888ff5b9ep-1", "-0x1.7c46993108dedp+0", "0x1.777e30cef3c10p-1",
+             "-0x1.46ff89308d4e3p+0", "0x1.0103c163d0754p-2"],
+        ],
+    }
+
+    @pytest.mark.parametrize("law", sorted(GOLDEN))
+    def test_seed_zero_draw_is_pinned(self, iverson_model, law):
+        data = sc.draw_equilibrium(iverson_model, sc.SimulationConfig(5, seed=0, law=law))
+        assert data.columns == ("Y", "X", "Z1", "Z2", "Z3")
+        assert [[float(v).hex() for v in row] for row in data.rows[:2]] == self.GOLDEN[law]
+
+
+def test_only_gaussian_draws_import_scipy(tmp_path):
+    """Start-up and the commands that draw nothing leave scipy unloaded."""
+    model = tmp_path / "model.json"
+    sc.save_model(sc.iverson_model(), model)
+    mom = sc.iverson_moments()
+    cov = tmp_path / "cov.json"
+    cov.write_text(json.dumps({"variables": list(mom.variables),
+                               "matrix": mom.covariance.tolist()}))
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import semcontrol.cli as cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert cli.run_command(['validate', '--model', sys.argv[2]]) == 0\n"
+        "assert 'scipy' not in sys.modules, 'validate'\n"
+        "assert cli.run_command(['estimate', '--cov', sys.argv[3], '--treatment', 'X',\n"
+        "                        '--response', 'Y', '--instruments', 'Z3']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'estimate'\n"
+        "assert cli.run_command(['simulate', '--model', sys.argv[2], '--n', '5',\n"
+        "                        '--out', sys.argv[4]]) == 0\n"
+        "assert 'scipy' in sys.modules, 'simulate'\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(Path(sc.__file__).parent.parent), str(model),
+         str(cov), str(tmp_path / "draws.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
