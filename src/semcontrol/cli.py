@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
-from .effects import RegressionBlocks, implied_moments, total_effects
-from .errors import SemControlError, UnstableModel
+from .effects import RegressionBlocks, _equilibrium_moments, total_effects
+from .errors import InputFormatError, SemControlError, UnstableModel
 from .estimation import (
     Dataset,
     iv_estimate,
@@ -148,6 +148,15 @@ def _require(args, *flags):
 _PLAN_FLAGS = ("--x", "--a", "--b", "--sigma-eps")
 
 
+def _valid_model(args):
+    """The --model file, refused when ``validate`` would report a violation."""
+    model = load_model(args.model)
+    violations = validate_model(model)
+    if violations:
+        raise InputFormatError(f"{args.model} is not a valid model: {'; '.join(violations)}")
+    return model
+
+
 def _partition(model, args):
     _require(args, "--treatment", "--response")
     controls = _names(args.F) or None
@@ -160,7 +169,8 @@ def _moments(model, args):
         return load_covariance(args.cov), {"cov": args.cov, "source": "sample"}
     if getattr(args, "data", None):
         return sample_moments(Dataset.from_csv(args.data)), {"data": args.data, "source": "sample"}
-    return implied_moments(model), {"source": "implied"}
+    # only _eval_pipeline asks, after _require_stable has gated both block radii
+    return _equilibrium_moments(model), {"source": "implied"}
 
 
 def _require_stable(model, partition):
@@ -236,7 +246,7 @@ def _cmd_validate(args):
 
 
 def _cmd_stability(args):
-    model = load_model(args.model)
+    model = _valid_model(args)
     inputs = {"model": args.model, "model_hash": model_hash(model)}
     if args.treatment or args.response:
         part = _partition(model, args)
@@ -259,7 +269,7 @@ def _cmd_stability(args):
 
 
 def _cmd_effects(args):
-    model = load_model(args.model)
+    model = _valid_model(args)
     part = _partition(model, args)
     _require_stable(model, part)
     eff = total_effects(model, part)
@@ -278,7 +288,7 @@ def _cmd_effects(args):
 
 def _cmd_plan_eval(args):
     part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
-        args, load_model(args.model)
+        args, _valid_model(args)
     )
     effect = plan_variance(moments, eff, blocks, plan)
     report = Report("plan-eval", inputs=inputs)
@@ -315,7 +325,7 @@ def _cmd_plan_eval(args):
 def _cmd_plan_optimize(args):
     _require(args, "--W")
     part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
-        args, load_model(args.model)
+        args, _valid_model(args)
     )
     effect = plan_variance(moments, eff, blocks, plan)
     worst = _residual_max(optimal)
@@ -375,7 +385,7 @@ def _cmd_simulate(args):
             "simulate without --plan or --treatment draws observational data "
             f"and cannot take {', '.join(ignored)}"
         )
-    model = load_model(args.model)
+    model = _valid_model(args)
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
     if planned:
         part, *_, plan, evaluated = _eval_pipeline(args, model)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -60,18 +61,36 @@ class PathDiagram:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple((s, t) for s, t in self.edges))
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = tuple(self.vertices)
+        edges = tuple(map(tuple, self.edges))  # no copy for edges that are tuples already
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        known = set(vertices)
+        if len(known) != len(vertices):
             raise ValueError("duplicate vertex names")
-        known = set(self.vertices)
-        for s, t in self.edges:
-            if s not in known or t not in known:
-                raise ValueError(f"edge ({s!r}, {t!r}) references an unknown vertex")
+        if not set(map(len, edges)) <= {2}:
+            raise ValueError("each edge must be a (source, target) pair")
+        if not known.issuperset(chain.from_iterable(edges)):
+            s, t = next(e for e in edges if not known.issuperset(e))
+            raise ValueError(f"edge ({s!r}, {t!r}) references an unknown vertex")
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.vertices)}
+
+    @cached_property
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Source and target vertex index of every edge, in edge order."""
+        ends = np.fromiter(map(self._index.__getitem__, chain.from_iterable(self.edges)),
+                           np.int64, 2 * len(self.edges))
+        return ends[0::2], ends[1::2]
+
+    @cached_property
+    def _multiplicity(self) -> np.ndarray:
+        """``[target, source]`` count of each edge, as an n x n matrix."""
+        sources, targets = self._endpoints
+        n = self.n_vertices
+        return np.bincount(targets * n + sources, minlength=n * n).reshape(n, n)
 
     @cached_property
     def _edge_set(self) -> frozenset[tuple[str, str]]:
@@ -178,16 +197,40 @@ class StructuralModel:
                 seen.setdefault(s)
                 seen.setdefault(t)
             variables = list(seen)
-        diagram = PathDiagram(tuple(variables), tuple((s, t) for s, t, _ in items))
+        return cls._from_columns(
+            variables,
+            [s for s, _, _ in items],
+            [t for _, t, _ in items],
+            [c for _, _, c in items],
+            intercepts or {},
+            disturbance_variances or {},
+        )
+
+    @classmethod
+    def _from_columns(
+        cls,
+        variables: Sequence[str],
+        sources: Sequence[str],
+        targets: Sequence[str],
+        coefficients: Sequence[float] | np.ndarray,
+        intercepts: Mapping[str, float],
+        disturbance_variances: Mapping[str, float],
+    ) -> "StructuralModel":
+        """:meth:`from_edges` on the edge list split into three columns."""
+        diagram = PathDiagram(tuple(variables), tuple(zip(sources, targets)))
         n = diagram.n_vertices
         coeff = np.zeros((n, n))
-        for s, t, c in items:
-            coeff[diagram.index(t), diagram.index(s)] = c
+        src, tgt = diagram._endpoints
+        if diagram._multiplicity.max(initial=0) <= 1:
+            coeff[tgt, src] = coefficients
+        else:  # a repeated edge keeps its last coefficient
+            for i, j, c in zip(tgt, src, coefficients):
+                coeff[i, j] = c
         mu = np.zeros(n)
-        for name, value in (intercepts or {}).items():
+        for name, value in intercepts.items():
             mu[diagram.index(name)] = value
         dvar = np.ones(n)
-        for name, value in (disturbance_variances or {}).items():
+        for name, value in disturbance_variances.items():
             dvar[diagram.index(name)] = value
         return cls(diagram, coeff, mu, dvar)
 
@@ -290,42 +333,35 @@ def validate_model(model: StructuralModel, partition: VertexPartition | None = N
     if not np.isfinite(model.disturbance_variances).all():
         violations.append("disturbance variances contain non-finite entries")
 
-    for i, name in enumerate(diagram.vertices):
-        if coeff[i, i] != 0.0:
-            violations.append(f"self-loop at vertex {name}")
-    for s, t in diagram.edges:
-        if s == t:
-            violations.append(f"self-loop edge {s} -> {t}")
-    counts: dict[tuple[str, str], int] = {}
-    for e in diagram.edges:
-        counts[e] = counts.get(e, 0) + 1
-    for (s, t), k in counts.items():
-        if k > 1:
-            violations.append(f"duplicate edge {s} -> {t}")
+    names = diagram.vertices
+    src, tgt = diagram._endpoints
+    for i in np.flatnonzero(np.diagonal(coeff) != 0.0):
+        violations.append(f"self-loop at vertex {names[i]}")
+    for k in np.flatnonzero(src == tgt):
+        violations.append(f"self-loop edge {names[src[k]]} -> {names[tgt[k]]}")
+    if diagram._multiplicity.max(initial=0) > 1:
+        counts = Counter(diagram.edges)
+        violations.extend(f"duplicate edge {s} -> {t}" for (s, t), k in counts.items() if k > 1)
 
-    for i, child in enumerate(diagram.vertices):
-        for j, parent in enumerate(diagram.vertices):
-            if i == j:
-                continue
-            on_edge = diagram.has_edge(parent, child)
-            if on_edge and coeff[i, j] == 0.0:
-                violations.append(f"edge {parent} -> {child} has zero coefficient")
-            elif not on_edge and coeff[i, j] != 0.0:
-                violations.append(f"coefficient without edge {parent} -> {child}")
+    # rows are children, columns parents; nonzero() walks them row-major
+    support = diagram._multiplicity > 0
+    mismatch = support != (coeff != 0.0)
+    np.fill_diagonal(mismatch, False)
+    for i, j in zip(*np.nonzero(mismatch)):
+        if support[i, j]:
+            violations.append(f"edge {names[j]} -> {names[i]} has zero coefficient")
+        else:
+            violations.append(f"coefficient without edge {names[j]} -> {names[i]}")
 
-    for i, name in enumerate(diagram.vertices):
-        if model.disturbance_variances[i] < 0.0:
-            violations.append(f"negative disturbance variance at {name}")
+    for i in np.flatnonzero(model.disturbance_variances < 0.0):
+        violations.append(f"negative disturbance variance at {names[i]}")
 
     if partition is not None:
-        forbidden = partition.descendants + (partition.treatment,)
-        for t_name in partition.nondescendants:
-            for p_name in forbidden:
-                value = coeff[model.index(t_name), model.index(p_name)]
-                if value != 0.0:
-                    violations.append(
-                        f"nondescendant block not zero: {t_name} depends on {p_name}"
-                    )
+        rows = partition.nondescendants
+        cols = partition.descendants + (partition.treatment,)
+        block = coeff[np.ix_([model.index(v) for v in rows], [model.index(v) for v in cols])]
+        for i, j in zip(*np.nonzero(block != 0.0)):
+            violations.append(f"nondescendant block not zero: {rows[i]} depends on {cols[j]}")
     return violations
 
 
@@ -425,8 +461,48 @@ def _number(value, field: str) -> float:
     """``float(value)`` for a file field, or an InputFormatError naming the field."""
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise InputFormatError(f"{field} must be a number, got {value!r}") from None
+
+
+def _edge_columns(entries: list) -> tuple[list, list, list | np.ndarray]:
+    """The ``from``, ``to`` and ``coeff`` columns of the edge list.
+
+    Well-formed entries (exactly the three keys, string ends, int or float
+    coefficients) are read in bulk; anything else goes through the checked
+    per-edge loop, which names the first fault.
+    """
+    if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {3}:
+        try:
+            sources = [e["from"] for e in entries]
+            targets = [e["to"] for e in entries]
+            coeffs = [e["coeff"] for e in entries]
+        except KeyError:
+            pass
+        else:
+            if (set(map(type, sources)) | set(map(type, targets)) <= {str}
+                    and set(map(type, coeffs)) <= {float, int}):
+                try:
+                    return sources, targets, np.array(coeffs, dtype=float)
+                except OverflowError:
+                    pass
+    sources, targets, coeffs = [], [], []
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InputFormatError("each edge must be an object")
+        unknown = set(entry) - _EDGE_KEYS
+        if unknown:
+            raise InputFormatError(f"unknown edge keys: {sorted(unknown)}")
+        try:
+            source, target, coeff = entry["from"], entry["to"], entry["coeff"]
+        except KeyError as exc:
+            raise InputFormatError(f"edge missing key {exc.args[0]!r}") from None
+        if not (isinstance(source, str) and isinstance(target, str)):
+            raise InputFormatError("edge 'from' and 'to' must be variable names")
+        sources.append(source)
+        targets.append(target)
+        coeffs.append(_number(coeff, f"edge {source} -> {target} 'coeff'"))
+    return sources, targets, coeffs
 
 
 def model_from_dict(payload: dict) -> StructuralModel:
@@ -444,20 +520,7 @@ def model_from_dict(payload: dict) -> StructuralModel:
 
     if not isinstance(payload["edges"], list):
         raise InputFormatError("'edges' must be a list of edge objects")
-    edges = []
-    for entry in payload["edges"]:
-        if not isinstance(entry, dict):
-            raise InputFormatError("each edge must be an object")
-        unknown = set(entry) - _EDGE_KEYS
-        if unknown:
-            raise InputFormatError(f"unknown edge keys: {sorted(unknown)}")
-        try:
-            source, target, coeff = entry["from"], entry["to"], entry["coeff"]
-        except KeyError as exc:
-            raise InputFormatError(f"edge missing key {exc.args[0]!r}") from None
-        if not (isinstance(source, str) and isinstance(target, str)):
-            raise InputFormatError("edge 'from' and 'to' must be variable names")
-        edges.append((source, target, _number(coeff, f"edge {source} -> {target} 'coeff'")))
+    sources, targets, coeffs = _edge_columns(payload["edges"])
 
     def named_map(key: str) -> dict[str, float]:
         raw = payload.get(key, {})
@@ -469,11 +532,13 @@ def model_from_dict(payload: dict) -> StructuralModel:
         return {k: _number(v, f"'{key}' value for {k!r}") for k, v in raw.items()}
 
     try:
-        return StructuralModel.from_edges(
-            edges,
-            variables=variables,
-            intercepts=named_map("intercepts"),
-            disturbance_variances=named_map("disturbance_variances"),
+        return StructuralModel._from_columns(
+            variables,
+            sources,
+            targets,
+            coeffs,
+            named_map("intercepts"),
+            named_map("disturbance_variances"),
         )
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
@@ -512,6 +577,13 @@ def save_model(model: StructuralModel, path: str | Path) -> None:
 
 
 def model_hash(model: StructuralModel) -> str:
-    """Short content digest of the canonical model serialization."""
-    canon = json.dumps(model_to_dict(model), sort_keys=True)
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+    """Short content digest of a model: its variable names, its edges (as
+    source and target indices, in order) and the exact bits of its
+    coefficient matrix, intercepts and disturbance variances."""
+    sources, targets = model.diagram._endpoints
+    digest = hashlib.sha256(json.dumps([model.variables, len(sources)]).encode())
+    for array in (sources, targets):
+        digest.update(array.astype("<i8").tobytes())
+    for array in (model.coefficients, model.intercepts, model.disturbance_variances):
+        digest.update(array.astype("<f8").tobytes())
+    return digest.hexdigest()[:12]

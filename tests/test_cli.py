@@ -8,6 +8,7 @@ import pytest
 
 import semcontrol as sc
 from semcontrol.cli import run_command
+from semcontrol.model import model_to_dict
 
 
 @pytest.fixture
@@ -571,6 +572,108 @@ class TestMalformedInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: 'matrix' is not positive semidefinite")
+
+
+def iverson_payload():
+    return model_to_dict(sc.iverson_model())
+
+
+def _self_loop(payload):
+    payload["edges"].append({"from": "Y", "to": "Y", "coeff": 0.2})
+
+
+def _duplicate_edge(payload):
+    payload["edges"].append({**payload["edges"][0], "coeff": 0.5})
+
+
+def _zero_coefficient(payload):
+    payload["edges"][1]["coeff"] = 0.0
+
+
+def _negative_variance(payload):
+    payload["disturbance_variances"]["Y"] = -1.0
+
+
+class TestValidationGate:
+    """Every analysis command refuses a model that ``validate`` rejects."""
+
+    FAULTS = {
+        "self-loop": (_self_loop, "self-loop at vertex Y; self-loop edge Y -> Y"),
+        "duplicate-edge": (_duplicate_edge, "duplicate edge X -> Y"),
+        "zero-coefficient": (_zero_coefficient, "edge Z1 -> Y has zero coefficient"),
+        "negative-variance": (_negative_variance, "negative disturbance variance at Y"),
+    }
+    PART = ["--treatment", "X", "--response", "Y"]
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("argv", [
+        ["stability"],
+        ["stability", *PART],
+        ["effects", *PART],
+        ["plan-eval", *PART, "--a", "-5"],
+        ["plan-optimize", *PART, "--W", "Z1"],
+        ["simulate", "--n", "10"],
+        ["simulate", "--n", "10", *PART, "--x", "1"],
+    ], ids=["stability", "stability-partition", "effects", "plan-eval", "plan-optimize",
+            "simulate", "simulate-plan"])
+    def test_invalid_model_exits_two(self, tmp_path, capsys, fault, argv):
+        corrupt, violations = self.FAULTS[fault]
+        payload = iverson_payload()
+        corrupt(payload)
+        path = write_json(tmp_path / "model.json", payload)
+        out = tmp_path / "draws.csv"
+        code = run_command([*argv, "--model", path, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path} is not a valid model: {violations}\n"
+        assert not out.exists()
+        code, payload = run_json(capsys, ["validate", "--model", path])
+        assert code == 2
+        assert "; ".join(payload["results"]["violations"]) == violations
+
+    def test_valid_model_passes_the_gate(self, model_file, tmp_path, capsys):
+        for argv in (["stability"], ["effects", *self.PART], ["plan-eval", *self.PART],
+                     ["plan-optimize", *self.PART, "--W", "Z1"],
+                     ["simulate", "--n", "10", "--out", str(tmp_path / "draws.csv")]):
+            assert run_command([*argv, "--model", model_file]) == 0, argv
+
+
+class TestModelFileFaults:
+    """Malformed model files: each exits with the loader's message and code."""
+
+    @pytest.mark.parametrize("edges, message", [
+        ([{"from": "X", "to": "Y", "coeff": "half"}],
+         "edge X -> Y 'coeff' must be a number, got 'half'"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5},
+          {"from": "Y", "to": "X", "coeff": 0.1, "w": 1}], "unknown edge keys: ['w']"),
+        ([{"from": "X", "to": "Y"}], "edge missing key 'coeff'"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5},
+          {"from": "Y", "to": 3, "coeff": 0.1}], "edge 'from' and 'to' must be variable names"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5},
+          {"from": "Y", "to": "Q", "coeff": 0.1}], "edge ('Y', 'Q') references an unknown vertex"),
+    ], ids=["text-coeff", "extra-key", "missing-key", "non-string-end", "unknown-vertex"])
+    @pytest.mark.parametrize("command", [
+        ["validate"],
+        ["plan-eval", "--treatment", "X", "--response", "Y"],
+    ], ids=["validate", "plan-eval"])
+    def test_fault_is_named(self, tmp_path, capsys, command, edges, message):
+        path = write_json(tmp_path / "model.json", {"variables": ["Y", "X"], "edges": edges})
+        assert run_command([*command, "--model", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_duplicate_variable_names(self, tmp_path, capsys):
+        path = write_json(tmp_path / "model.json", {"variables": ["Y", "X", "Y"], "edges": []})
+        assert run_command(["validate", "--model", path]) == 2
+        assert capsys.readouterr().err == "error: duplicate vertex names\n"
+
+    @pytest.mark.parametrize("coeff", [True, 1, "0.5"], ids=["bool", "int", "numeric-string"])
+    def test_coefficient_that_float_reads_is_accepted(self, tmp_path, capsys, coeff):
+        path = write_json(tmp_path / "model.json", {
+            "variables": ["Y", "X"], "edges": [{"from": "X", "to": "Y", "coeff": coeff}],
+        })
+        code, payload = run_json(capsys, ["plan-eval", "--model", path,
+                                          "--treatment", "X", "--response", "Y", "--x", "2"])
+        assert code == 0
+        assert payload["results"]["mean_y"] == 2.0 * float(coeff)
 
 
 class TestReproduceIverson:

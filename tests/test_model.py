@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
+from semcontrol.model import model_from_dict, model_to_dict
 from support import cubic_roots, random_cyclic_model, reachable_floyd_warshall
 
 
@@ -321,3 +322,274 @@ class TestModelFiles:
         path.write_text("{not json")
         with pytest.raises(sc.InputFormatError, match="invalid JSON"):
             sc.load_model(path)
+
+
+def reference_validate(model, partition=None):
+    """validate_model as a loop over every cell and edge: the reference the
+    vectorised function must match, message for message and in order."""
+    violations = []
+    diagram = model.diagram
+    coeff = model.coefficients
+    if not np.isfinite(coeff).all():
+        violations.append("coefficients contain non-finite entries")
+    if not np.isfinite(model.intercepts).all():
+        violations.append("intercepts contain non-finite entries")
+    if not np.isfinite(model.disturbance_variances).all():
+        violations.append("disturbance variances contain non-finite entries")
+    for i, name in enumerate(diagram.vertices):
+        if coeff[i, i] != 0.0:
+            violations.append(f"self-loop at vertex {name}")
+    for s, t in diagram.edges:
+        if s == t:
+            violations.append(f"self-loop edge {s} -> {t}")
+    counts = {}
+    for e in diagram.edges:
+        counts[e] = counts.get(e, 0) + 1
+    for (s, t), k in counts.items():
+        if k > 1:
+            violations.append(f"duplicate edge {s} -> {t}")
+    for i, child in enumerate(diagram.vertices):
+        for j, parent in enumerate(diagram.vertices):
+            if i == j:
+                continue
+            on_edge = diagram.has_edge(parent, child)
+            if on_edge and coeff[i, j] == 0.0:
+                violations.append(f"edge {parent} -> {child} has zero coefficient")
+            elif not on_edge and coeff[i, j] != 0.0:
+                violations.append(f"coefficient without edge {parent} -> {child}")
+    for i, name in enumerate(diagram.vertices):
+        if model.disturbance_variances[i] < 0.0:
+            violations.append(f"negative disturbance variance at {name}")
+    if partition is not None:
+        forbidden = partition.descendants + (partition.treatment,)
+        for t_name in partition.nondescendants:
+            for p_name in forbidden:
+                if coeff[model.index(t_name), model.index(p_name)] != 0.0:
+                    violations.append(
+                        f"nondescendant block not zero: {t_name} depends on {p_name}"
+                    )
+    return violations
+
+
+_ODD_VALUES = [0.5, -1.25, 1e-300, -0.0, np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def faulty_models(draw):
+    """Small models with injected faults: self-loop and duplicate edges,
+    zeroed edge coefficients, stray and diagonal coefficients, negative and
+    non-finite values; plus a hand-made (often wrong) partition."""
+    n = draw(st.integers(1, 5))
+    names = tuple(f"V{i}" for i in range(n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=10))
+    coeff = np.zeros((n, n))
+    for s, t in edges:
+        coeff[t, s] = draw(st.sampled_from([0.5, -1.25, 0.3, 0.0, -0.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        coeff[draw(vertex), draw(vertex)] = draw(st.sampled_from(_ODD_VALUES))
+    cells = st.lists(st.sampled_from([1.0, 0.0, -0.0, -0.5, np.nan, np.inf]),
+                     min_size=n, max_size=n)
+    model = sc.StructuralModel(
+        sc.PathDiagram(names, [(names[s], names[t]) for s, t in edges]),
+        coeff, draw(cells), draw(cells),
+    )
+    descendant = draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    rest = names[1:]
+    partition = sc.VertexPartition(
+        variables=names,
+        treatment=names[0],
+        response=names[0],
+        descendants=tuple(v for v, d in zip(rest, descendant) if d),
+        nondescendants=tuple(v for v, d in zip(rest, descendant) if not d),
+        controls=(),
+        covariates=(),
+    )
+    return model, partition
+
+
+class TestValidateMatchesReference:
+    @given(faulty_models())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_violations_in_same_order(self, case):
+        model, partition = case
+        assert sc.validate_model(model) == reference_validate(model)
+        assert sc.validate_model(model, partition) == reference_validate(model, partition)
+
+    def test_random_cyclic_models_are_valid(self):
+        for seed in range(10):
+            model, treatment, response = random_cyclic_model(seed)
+            part = sc.partition_vertices(model, treatment, response)
+            assert sc.validate_model(model, part) == reference_validate(model, part) == []
+
+
+def reference_load(payload):
+    """The per-edge loader: float() of each coefficient, the matrix filled
+    edge by edge in file order, so a repeated edge keeps its last value."""
+    variables = payload["variables"]
+    index = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    coeff = np.zeros((n, n))
+    for e in payload["edges"]:
+        coeff[index[e["to"]], index[e["from"]]] = float(e["coeff"])
+    mu, dvar = np.zeros(n), np.ones(n)
+    for name, value in payload.get("intercepts", {}).items():
+        mu[index[name]] = float(value)
+    for name, value in payload.get("disturbance_variances", {}).items():
+        dvar[index[name]] = float(value)
+    edges = tuple((e["from"], e["to"]) for e in payload["edges"])
+    return sc.PathDiagram(tuple(variables), edges), coeff, mu, dvar
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
+
+
+_COEFFS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+@st.composite
+def model_payloads(draw):
+    n = draw(st.integers(1, 6))
+    names = [f"V{i}" for i in range(n)]
+    vertex = st.sampled_from(names)
+    edges = draw(st.lists(st.fixed_dictionaries(
+        {"from": vertex, "to": vertex, "coeff": _COEFFS}), max_size=12))
+    payload = {"variables": names, "edges": edges}
+    for key in ("intercepts", "disturbance_variances"):
+        if draw(st.booleans()):
+            payload[key] = draw(st.dictionaries(vertex, st.floats(-10, 10)))
+    return payload
+
+
+class TestModelLoader:
+    @given(model_payloads())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_per_edge_loader(self, payload):
+        model = model_from_dict(payload)
+        diagram, coeff, mu, dvar = reference_load(payload)
+        assert model.diagram == diagram
+        assert same_bits(model.coefficients, coeff)
+        assert same_bits(model.intercepts, mu)
+        assert same_bits(model.disturbance_variances, dvar)
+
+    def test_generated_large_model_matches_per_edge_loader(self):
+        model, _, _ = random_cyclic_model(3, n_min=40, n_max=40)
+        payload = model_to_dict(model)
+        loaded = model_from_dict(payload)
+        diagram, coeff, mu, dvar = reference_load(payload)
+        assert loaded.diagram == diagram == model.diagram
+        assert same_bits(loaded.coefficients, coeff)
+        assert same_bits(loaded.coefficients, model.coefficients)
+        assert same_bits(loaded.intercepts, mu) and same_bits(loaded.disturbance_variances, dvar)
+
+    @pytest.mark.parametrize("coeff, value", [
+        (True, 1.0), (False, 0.0), (2, 2.0), (2**60 + 1, float(2**60 + 1)),
+        ("0.25", 0.25), (" -1e-3 ", -0.001),
+    ])
+    def test_coefficients_that_float_accepts(self, coeff, value):
+        model = model_from_dict({
+            "variables": ["Y", "X"],
+            "edges": [{"from": "Y", "to": "X", "coeff": 0.5},
+                      {"from": "X", "to": "Y", "coeff": coeff}],
+        })
+        assert model.coefficients[0, 1] == value
+        assert model.coefficients[1, 0] == 0.5
+
+    def test_duplicate_edge_keeps_last_coefficient(self):
+        model = model_from_dict({
+            "variables": ["Y", "X"],
+            "edges": [{"from": "X", "to": "Y", "coeff": 0.5},
+                      {"from": "Y", "to": "X", "coeff": 0.1},
+                      {"from": "X", "to": "Y", "coeff": 0.25}],
+        })
+        assert model.coefficients[0, 1] == 0.25
+        assert model.diagram.edges == (("X", "Y"), ("Y", "X"), ("X", "Y"))
+        assert sc.validate_model(model) == ["duplicate edge X -> Y"]
+
+    @pytest.mark.parametrize("edges, message", [
+        ([{"from": "X", "to": "Y", "coeff": "half"}],
+         "edge X -> Y 'coeff' must be a number, got 'half'"),
+        ([{"from": "X", "to": "Y", "coeff": None}],
+         "edge X -> Y 'coeff' must be a number, got None"),
+        ([{"from": "X", "to": "Y", "coeff": 10**400}],
+         f"edge X -> Y 'coeff' must be a number, got {10**400}"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5},
+          {"from": "Y", "to": "X", "coeff": 0.1, "w": 1}], "unknown edge keys: ['w']"),
+        ([{"from": "X", "to": "Y"}], "edge missing key 'coeff'"),
+        ([{"from": "X", "to": "Y", "weight": 0.5}], "unknown edge keys: ['weight']"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5},
+          {"from": "Y", "to": 3, "coeff": 0.1}], "edge 'from' and 'to' must be variable names"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5}, ["Y", "X", 0.1]],
+         "each edge must be an object"),
+        ([{"from": "X", "to": "Y", "coeff": 0.5},
+          {"from": "Y", "to": "Q", "coeff": 0.1}], "edge ('Y', 'Q') references an unknown vertex"),
+    ], ids=["text", "null", "huge-int", "extra-key", "missing-key", "renamed-key",
+            "non-string-end", "not-an-object", "unknown-vertex"])
+    def test_malformed_edge_named(self, edges, message):
+        with pytest.raises(sc.InputFormatError) as info:
+            model_from_dict({"variables": ["Y", "X"], "edges": edges})
+        assert str(info.value) == message
+
+    def test_duplicate_variable_names(self):
+        with pytest.raises(sc.InputFormatError, match="^duplicate vertex names$"):
+            model_from_dict({"variables": ["Y", "X", "Y"], "edges": []})
+
+    def test_value_faults_come_before_graph_faults(self):
+        # as in the per-edge loader: the intercept is read before the diagram is built
+        with pytest.raises(sc.InputFormatError) as info:
+            model_from_dict({
+                "variables": ["Y", "X"],
+                "edges": [{"from": "Q", "to": "Y", "coeff": 0.1}],
+                "intercepts": {"Y": "a"},
+            })
+        assert str(info.value) == "'intercepts' value for 'Y' must be a number, got 'a'"
+
+
+class TestModelHash:
+    def test_pinned_iverson_digest(self, iverson_model):
+        assert sc.model_hash(iverson_model) == "e1470deda06a"
+
+    @staticmethod
+    def variant(model, *, names=None, edges=None, coeff=None, mu=None, dvar=None):
+        return sc.StructuralModel(
+            sc.PathDiagram(names or model.variables, edges or model.diagram.edges),
+            model.coefficients if coeff is None else coeff,
+            model.intercepts if mu is None else mu,
+            model.disturbance_variances if dvar is None else dvar,
+        )
+
+    def test_every_part_of_the_model_is_covered(self, iverson_model):
+        m = iverson_model
+        coeff = m.coefficients.copy()
+        coeff[0, 1] = np.nextafter(coeff[0, 1], 1.0)  # one bit
+        mu = m.intercepts.copy()
+        mu[2] = 0.5
+        dvar = m.disturbance_variances.copy()
+        dvar[4] = 2.0
+        names = ("Y", "X", "Z1", "Z2", "W3")
+        edges = m.diagram.edges[:-1] + (("Z2", "Z3"),)
+        variants = [
+            self.variant(m, coeff=coeff),
+            self.variant(m, mu=mu),
+            self.variant(m, dvar=dvar),
+            self.variant(m, names=names, edges=tuple(
+                tuple("W3" if v == "Z3" else v for v in e) for e in m.diagram.edges)),
+            self.variant(m, edges=edges),
+            self.variant(m, edges=m.diagram.edges[::-1]),
+        ]
+        digests = {sc.model_hash(v) for v in variants} | {sc.model_hash(m)}
+        assert len(digests) == len(variants) + 1
+
+    def test_save_load_round_trip_keeps_digest(self, tmp_path):
+        for seed in range(5):
+            model, _, _ = random_cyclic_model(seed)
+            path = tmp_path / f"m{seed}.json"
+            sc.save_model(model, path)
+            assert sc.model_hash(sc.load_model(path)) == sc.model_hash(model)
