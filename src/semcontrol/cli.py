@@ -12,14 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .control import PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
 from .effects import RegressionBlocks, _equilibrium_moments, total_effects
-from .errors import InputFormatError, SemControlError, UnstableModel
+from .errors import InputFormatError, SemControlError, UnstableModel, UnstableModelWarning
 from .estimation import (
     Dataset,
     iv_estimate,
@@ -56,16 +58,9 @@ class Report:
     results: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": _jsonable(self.inputs),
-            "results": _jsonable(self.results),
-            "warnings": list(self.warnings),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        # np.float64 is a float subclass, so it prints as the same Python float
+        return json.dumps(vars(self), indent=2, default=lambda value: value.tolist())
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -78,18 +73,6 @@ class Report:
             lines.append("warnings:")
             lines.extend(f"  - {w}" for w in self.warnings)
         return "\n".join(lines)
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
 
 
 def _fmt(value) -> str:
@@ -148,41 +131,6 @@ def _require(args, *flags):
 _PLAN_FLAGS = ("--x", "--a", "--b", "--sigma-eps")
 
 
-def _valid_model(args):
-    """The --model file, refused when ``validate`` would report a violation."""
-    model = load_model(args.model)
-    violations = validate_model(model)
-    if violations:
-        raise InputFormatError(f"{args.model} is not a valid model: {'; '.join(violations)}")
-    return model
-
-
-def _partition(model, args):
-    _require(args, "--treatment", "--response")
-    controls = _names(args.F) or None
-    covariates = _names(args.W) or None
-    return partition_vertices(model, args.treatment, args.response, controls, covariates)
-
-
-def _moments(model, args):
-    if getattr(args, "cov", None):
-        return load_covariance(args.cov), {"cov": args.cov, "source": "sample"}
-    if getattr(args, "data", None):
-        return sample_moments(Dataset.from_csv(args.data)), {"data": args.data, "source": "sample"}
-    # only _eval_pipeline asks, after _require_stable has gated both block radii
-    return _equilibrium_moments(model), {"source": "implied"}
-
-
-def _require_stable(model, partition):
-    report = check_stability(model, partition)
-    if not report.stable:
-        raise UnstableModel(
-            "model is not stable: spectral radii "
-            f"(nondescendant block {report.nondescendant_radius:.6g}, "
-            f"feedback block {report.feedback_radius:.6g}) must be below 1"
-        )
-
-
 def _gains(raw: str | None, flag: str, names: tuple[str, ...], role: str) -> dict:
     if not raw:
         return {}
@@ -192,38 +140,97 @@ def _gains(raw: str | None, flag: str, names: tuple[str, ...], role: str) -> dic
     return dict(zip(names, values))
 
 
-def _plan_spec(args, partition) -> PlanSpec:
-    """The --plan file, or the --x/--a/--b/--sigma-eps flags as the same spec."""
-    if args.plan:
-        return load_plan(args.plan)
-    feedback = _gains(args.a, "--a", partition.controls, "controls")
-    gains = "optimal" if args.b == "optimal" else _gains(
-        args.b, "--b", partition.covariates, "covariates")
-    return PlanSpec(0.0 if args.x is None else args.x, feedback, gains,
-                    0.0 if args.sigma_eps is None else args.sigma_eps)
+class _Analysis:
+    """A command's model -> partition -> gate -> moments, effects, blocks ->
+    optimal gains -> plan, each computed on first read.  Everything after the
+    stability gate ``gated`` reads it first, so a command computes only what it
+    reports, and nothing for a model that a gate refuses."""
+
+    def __init__(self, args):
+        self.args = args
+
+    @cached_property
+    def model(self):
+        """The --model file, refused when ``validate`` would report a violation."""
+        model = load_model(self.args.model)
+        violations = validate_model(model)
+        if violations:
+            raise InputFormatError(
+                f"{self.args.model} is not a valid model: {'; '.join(violations)}")
+        return model
+
+    @cached_property
+    def inputs(self) -> dict:
+        return {"model": self.args.model, "model_hash": model_hash(self.model)}
+
+    @cached_property
+    def partition(self):
+        args = self.args
+        _require(args, "--treatment", "--response")
+        return partition_vertices(self.model, args.treatment, args.response,
+                                  _names(args.F) or None, _names(args.W) or None)
+
+    @cached_property
+    def gated(self):
+        """The partition, once both of its block spectral radii are below one."""
+        report = check_stability(self.model, self.partition)
+        if not report.stable:
+            raise UnstableModel(
+                "model is not stable: spectral radii "
+                f"(nondescendant block {report.nondescendant_radius:.6g}, "
+                f"feedback block {report.feedback_radius:.6g}) must be below 1"
+            )
+        return self.partition
+
+    @cached_property
+    def spec(self) -> PlanSpec:
+        """The --plan file, or the --x/--a/--b/--sigma-eps flags as the same spec."""
+        args = self.args
+        given = _given(args, *_PLAN_FLAGS)
+        if args.plan and given:
+            raise UsageError(f"--plan cannot be combined with {', '.join(given)}")
+        part = self.gated
+        if args.plan:
+            return load_plan(args.plan)
+        feedback = _gains(args.a, "--a", part.controls, "controls")
+        gains = "optimal" if args.b == "optimal" else _gains(
+            args.b, "--b", part.covariates, "covariates")
+        return PlanSpec(0.0 if args.x is None else args.x, feedback, gains,
+                        0.0 if args.sigma_eps is None else args.sigma_eps)
+
+    @cached_property
+    def moments(self):
+        self.gated  # first the gate, which also makes the implied moments exist
+        if self.args.cov:
+            return load_covariance(self.args.cov)
+        if self.args.data:
+            return sample_moments(Dataset.from_csv(self.args.data))
+        return _equilibrium_moments(self.model)
+
+    @cached_property
+    def effects(self):
+        return total_effects(self.model, self.gated)
+
+    @cached_property
+    def blocks(self):
+        return RegressionBlocks.from_moments(self.moments, self.gated)
+
+    @cached_property
+    def optimal(self):
+        return optimal_b(self.effects, self.blocks)
+
+    @cached_property
+    def plan(self):
+        optimal = self.optimal if self.spec.covariate_gains == "optimal" else None
+        return resolve_plan(self.spec, self.gated, optimal)
 
 
-def _eval_pipeline(args, model):
-    """Everything a plan command needs, each quantity computed once.
-
-    Returns (partition, moments, effects, blocks, optimal gains or None,
-    resolved plan, report inputs); ``optimal_b`` runs only when the plan
-    asks for optimal covariate gains.
-    """
-    given = _given(args, *_PLAN_FLAGS)
-    if args.plan and given:
-        raise UsageError(f"--plan cannot be combined with {', '.join(given)}")
-    part = _partition(model, args)
-    _require_stable(model, part)
-    moments, source = _moments(model, args)
-    eff = total_effects(model, part)
-    blocks = RegressionBlocks.from_moments(moments, part)
-    inputs = {"model": args.model, "model_hash": model_hash(model), **source}
-    if args.plan:
-        inputs["plan"] = args.plan
-    spec = _plan_spec(args, part)
-    optimal = optimal_b(eff, blocks) if spec.covariate_gains == "optimal" else None
-    return part, moments, eff, blocks, optimal, resolve_plan(spec, part, optimal), inputs
+def _plan_inputs(analysis: _Analysis) -> dict:
+    """A plan command's report inputs; reading them validates the model."""
+    args = analysis.args
+    source = {"cov": args.cov} if args.cov else {"data": args.data} if args.data else {}
+    plan = {"plan": args.plan} if args.plan else {}
+    return {**analysis.inputs, **source, "source": "sample" if source else "implied", **plan}
 
 
 def _residual_max(optimal) -> float:
@@ -246,11 +253,9 @@ def _cmd_validate(args):
 
 
 def _cmd_stability(args):
-    model = _valid_model(args)
-    inputs = {"model": args.model, "model_hash": model_hash(model)}
+    analysis = _Analysis(args)
     if args.treatment or args.response:
-        part = _partition(model, args)
-        rep = check_stability(model, part)
+        rep = check_stability(analysis.model, analysis.partition)
         results = {
             "spectral_radius_nondescendant_block": rep.nondescendant_radius,
             "spectral_radius_feedback_block": rep.feedback_radius,
@@ -259,39 +264,31 @@ def _cmd_stability(args):
         }
         stable = rep.stable
     else:
-        rho = spectral_radius(model.coefficients)
+        rho = spectral_radius(analysis.model.coefficients)
         stable = is_stable(rho)
         results = {"spectral_radius": rho, "stable": stable, "margin": 1.0 - rho}
-    report = Report("stability", inputs=inputs, results=results)
+    report = Report("stability", inputs=analysis.inputs, results=results)
     if not stable:
         report.warnings.append("model is not stable: some spectral radius is not below 1")
     return report, (0 if stable else 2)
 
 
 def _cmd_effects(args):
-    model = _valid_model(args)
-    part = _partition(model, args)
-    _require_stable(model, part)
-    eff = total_effects(model, part)
+    analysis = _Analysis(args)
+    part, eff = analysis.gated, analysis.effects
     results = {
         "total_effect_on_response": eff.to_response,
         "total_effects_on_controls": dict(zip(part.controls, eff.to_controls)),
         "total_effects_on_descendants": dict(zip(part.descendants, eff.to_descendants)),
     }
-    report = Report(
-        "effects",
-        inputs={"model": args.model, "model_hash": model_hash(model)},
-        results=results,
-    )
-    return report, 0
+    return Report("effects", inputs=analysis.inputs, results=results), 0
 
 
 def _cmd_plan_eval(args):
-    part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
-        args, _valid_model(args)
-    )
-    effect = plan_variance(moments, eff, blocks, plan)
-    report = Report("plan-eval", inputs=inputs)
+    analysis = _Analysis(args)
+    report = Report("plan-eval", inputs=_plan_inputs(analysis))
+    plan, part = analysis.plan, analysis.gated
+    effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
     report.results = {
         "set_point": plan.set_point,
         "feedback": dict(zip(part.controls, plan.feedback)),
@@ -310,8 +307,8 @@ def _cmd_plan_eval(args):
             f"feedback stability margin {effect.margin:.4g} is small; "
             "the plan operates close to |a'g| = 1"
         )
-    if optimal is not None:
-        worst = _residual_max(optimal)
+    if analysis.spec.covariate_gains == "optimal":
+        worst = _residual_max(analysis.optimal)
         report.results["optimal_gain_residual_max"] = worst
         if worst > 1e-9:
             report.warnings.append(
@@ -324,14 +321,13 @@ def _cmd_plan_eval(args):
 
 def _cmd_plan_optimize(args):
     _require(args, "--W")
-    part, moments, eff, blocks, optimal, plan, inputs = _eval_pipeline(
-        args, _valid_model(args)
-    )
-    effect = plan_variance(moments, eff, blocks, plan)
-    worst = _residual_max(optimal)
-    report = Report("plan-optimize", inputs=inputs)
+    analysis = _Analysis(args)
+    report = Report("plan-optimize", inputs=_plan_inputs(analysis))
+    plan = analysis.plan
+    effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
+    worst = _residual_max(analysis.optimal)
     report.results = {
-        "b_star": dict(zip(part.covariates, optimal.covariate_gains)),
+        "b_star": dict(zip(analysis.gated.covariates, analysis.optimal.covariate_gains)),
         "residual_max": worst,
         "mean_y": effect.response_mean,
         "var_y": effect.response_variance,
@@ -385,21 +381,26 @@ def _cmd_simulate(args):
             "simulate without --plan or --treatment draws observational data "
             f"and cannot take {', '.join(ignored)}"
         )
-    model = _valid_model(args)
+    analysis = _Analysis(args)
+    inputs = {**analysis.inputs, "seed": args.seed, "n": args.n, "law": args.law}
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
+    caught = []
     if planned:
-        part, *_, plan, evaluated = _eval_pipeline(args, model)
-        digest = evaluated["model_hash"]
-        data = simulate_plan(model, part, plan, config)
+        read = _given(args, "--cov", "--data")
+        if read and analysis.spec.covariate_gains != "optimal":
+            raise UsageError(
+                "simulate with fixed covariate gains reads no moments "
+                f"and cannot take {', '.join(read)}"
+            )
+        data = simulate_plan(analysis.model, analysis.gated, analysis.plan, config)
         post = "post-plan"
     else:
-        digest = model_hash(model)
-        data = draw_equilibrium(model, config)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UnstableModelWarning)
+            data = draw_equilibrium(analysis.model, config)
         post = "observational"
-    sidecar = save_run(data, args.out, digest, config)
-    inputs = {"model": args.model, "model_hash": digest, "seed": args.seed, "n": args.n,
-              "law": args.law}
-    report = Report("simulate", inputs=inputs)
+    sidecar = save_run(data, args.out, inputs["model_hash"], config)
+    report = Report("simulate", inputs=inputs, warnings=[str(w.message) for w in caught])
     report.results = {
         "regime": post,
         "out": str(args.out),

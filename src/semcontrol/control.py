@@ -23,7 +23,6 @@ treatment on W.  At b* the covariance between the response and W vanishes.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -44,6 +43,7 @@ from .model import (
     StructuralModel,
     VertexPartition,
     _number,
+    _read_json,
 )
 
 
@@ -237,13 +237,6 @@ def plan_mean(moments: MomentSummary, effects: EffectSummary, plan: ControlPlan)
     which reduces to mu_y + g_y k for a recursive plan (a = 0).
     """
     status = _require_plan_stable(effects, plan)
-    return _mean(moments, effects, plan, status.loop_gain)
-
-
-def _mean(
-    moments: MomentSummary, effects: EffectSummary, plan: ControlPlan, loop_gain: float
-) -> float:
-    """:func:`plan_mean` for a plan already checked to have |a'g| < 1."""
     partition = effects.partition
     gamma = effects.to_controls
     gamma_y = effects.to_response
@@ -251,7 +244,7 @@ def _mean(
     mu_f = moments.mean_of(partition.controls)
     k = _shift(moments, partition, plan)
     feedback_term = float(plan.feedback @ (mu_f + gamma * k))
-    return mu_y + gamma_y * k + gamma_y / (1.0 - loop_gain) * feedback_term
+    return mu_y + gamma_y * k + gamma_y / (1.0 - status.loop_gain) * feedback_term
 
 
 def plan_variance(
@@ -302,7 +295,7 @@ def plan_variance(
     cov_f = damp @ core @ damp.T
     cov_f = 0.5 * (cov_f + cov_f.T)
     return PlanEffect(
-        response_mean=_mean(moments, effects, plan, status.loop_gain),
+        response_mean=plan_mean(moments, effects, plan),
         controls_covariance=cov_f,
         margin=status.margin,
         feedback_factor=factor,
@@ -414,11 +407,7 @@ def plan_from_dict(payload: dict) -> PlanSpec:
 
 
 def load_plan(path: str | Path) -> PlanSpec:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
-    return plan_from_dict(payload)
+    return plan_from_dict(_read_json(path))
 
 
 def resolve_plan(

@@ -185,7 +185,6 @@ class RegressionBlocks:
     covariates.
     """
 
-    partition: VertexPartition
     controls_on_treatment: np.ndarray
     controls_on_covariates: np.ndarray
     treatment_on_covariates: np.ndarray
@@ -202,7 +201,6 @@ class RegressionBlocks:
         f = partition.controls
         w = partition.covariates
         return cls(
-            partition=partition,
             controls_on_treatment=regression_blocks(moments, f, x)[:, 0],
             controls_on_covariates=regression_blocks(moments, f, w),
             treatment_on_covariates=regression_blocks(moments, x, w)[0],

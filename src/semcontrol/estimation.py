@@ -30,7 +30,7 @@ from .errors import (
     TooFewRows,
     WeakInstrument,
 )
-from .model import PSD_TOL, StructuralModel, model_from_dict, solve
+from .model import PSD_TOL, StructuralModel, _read_json, model_from_dict, solve
 
 #: Relative correlation scale below which an instrument is called weak.
 WEAK_INSTRUMENT_TOL = 1e-8
@@ -272,11 +272,7 @@ def covariance_from_dict(payload: dict) -> MomentSummary:
 
 
 def load_covariance(path: str | Path) -> MomentSummary:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
-    return covariance_from_dict(payload)
+    return covariance_from_dict(_read_json(path))
 
 
 def _fixture(name: str) -> dict:

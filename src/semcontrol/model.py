@@ -564,12 +564,16 @@ def model_to_dict(model: StructuralModel) -> dict:
     }
 
 
-def load_model(path: str | Path) -> StructuralModel:
+def _read_json(path: str | Path):
+    """The JSON value in a model, plan or covariance file."""
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
-    return model_from_dict(payload)
+
+
+def load_model(path: str | Path) -> StructuralModel:
+    return model_from_dict(_read_json(path))
 
 
 def save_model(model: StructuralModel, path: str | Path) -> None:

@@ -89,16 +89,23 @@ def draw_equilibrium(
     An unstable model still has a solvable equilibrium but cannot reach it
     by iteration, so sampling one only emits a warning.
     """
-    return _draw(model, config, row_range, warn_unstable=True)
+    data = _draw(model, config, row_range)
+    if not is_stable(spectral_radius(model.coefficients)):
+        warnings.warn(
+            "model is not stable: equilibrium draws exist but are not reachable "
+            "by iteration from any starting point",
+            UnstableModelWarning,
+            stacklevel=2,
+        )
+    return data
 
 
 def _draw(
     model: StructuralModel,
     config: SimulationConfig,
     row_range: tuple[int, int] | None,
-    warn_unstable: bool,
 ) -> Dataset:
-    """:func:`draw_equilibrium`; callers that already gated the spectral radius skip it."""
+    """Equilibrium draws of the rows in ``row_range``, without a stability check."""
     start, stop = row_range if row_range is not None else (0, config.n_draws)
     if not 0 <= start <= stop <= config.n_draws:
         raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
@@ -107,14 +114,6 @@ def _draw(
     inverse = solve(np.eye(n) - model.coefficients, np.eye(n), SingularSystem(
         "(I - A) is numerically singular; equilibrium is not unique"
     ))
-    if warn_unstable and not is_stable(spectral_radius(model.coefficients)):
-        warnings.warn(
-            "model is not stable: equilibrium draws exist but are not reachable "
-            "by iteration from any starting point",
-            UnstableModelWarning,
-            stacklevel=3,
-        )
-
     eps = _disturbances(model, config, start, stop)
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
@@ -173,7 +172,7 @@ def simulate_plan(
             f"post-plan spectral radius {rho:.6g} is not below 1; the controlled "
             "equilibrium is not reachable"
         )
-    return _draw(post, config, row_range, warn_unstable=False)
+    return _draw(post, config, row_range)
 
 
 def save_run(

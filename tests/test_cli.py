@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import semcontrol as sc
+from semcontrol import cli
 from semcontrol.cli import run_command
 from semcontrol.model import model_to_dict
 
@@ -445,6 +446,86 @@ class TestSimulateCommand:
             f"data and cannot take {named}\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("plan", [["--x", "1"], ["--plan", {"x": 1.0, "b": {"Z1": 0.5}}]],
+                             ids=["flags", "file"])
+    @pytest.mark.parametrize("flag", ["--cov", "--data"])
+    def test_fixed_gain_plan_rejects_moment_flags(self, model_file, tmp_path, capsys, plan, flag):
+        if plan[0] == "--plan":
+            plan = ["--plan", write_json(tmp_path / "plan.json", plan[1])]
+        out = tmp_path / "post.csv"
+        code = run_command(["simulate", "--model", model_file, "--treatment", "X",
+                            "--response", "Y", "--W", "Z1", *plan, flag, "unread.json",
+                            "--n", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: simulate with fixed covariate gains reads no moments "
+            f"and cannot take {flag}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plan", [["--b", "optimal"], ["--plan", {"b": "optimal"}]],
+                             ids=["flags", "file"])
+    def test_optimal_gain_plan_reads_moment_flags(self, model_file, cov_file, tmp_path, capsys,
+                                                  plan):
+        if plan[0] == "--plan":
+            plan = ["--plan", write_json(tmp_path / "plan.json", plan[1])]
+        argv = ["simulate", "--model", model_file, "--treatment", "X", "--response", "Y",
+                "--W", "Z1", *plan, "--n", "10", "--out", str(tmp_path / "post.csv")]
+        assert run_command([*argv, "--cov", cov_file]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert run_command([*argv, "--cov", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unstable_model_warning_goes_into_the_report(
+        self, unstable_model_file, tmp_path, capsys, fmt
+    ):
+        code = run_command(["simulate", "--model", unstable_model_file, "--n", "10",
+                            "--out", str(tmp_path / "draws.csv"), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        message = ("model is not stable: equilibrium draws exist but are not reachable "
+                   "by iteration from any starting point")
+        if fmt == "json":
+            assert json.loads(captured.out)["warnings"] == [message]
+        else:
+            assert captured.out.endswith(f"\nwarnings:\n  - {message}\n")
+
+
+class TestComputeOnce:
+    """Each command computes a quantity at most once, and only the ones it reads."""
+
+    @staticmethod
+    def count(monkeypatch, target, *names) -> dict:
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _fn=getattr(target, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(target, name, counted)
+        return calls
+
+    def test_plan_eval_with_optimal_gains(self, model_file, monkeypatch, capsys):
+        calls = self.count(monkeypatch, cli, "check_stability", "total_effects", "optimal_b",
+                           "_equilibrium_moments")
+        assert run_command(["plan-eval", "--model", model_file, "--treatment", "X",
+                            "--response", "Y", "--W", "Z1", "--a", "-1", "--b", "optimal"]) == 0
+        assert calls == {"check_stability": 1, "total_effects": 1, "optimal_b": 1,
+                         "_equilibrium_moments": 1}
+
+    def test_fixed_gain_simulate_reads_no_moments(self, model_file, tmp_path, monkeypatch,
+                                                  capsys):
+        calls = self.count(monkeypatch, cli, "check_stability", "_equilibrium_moments",
+                           "total_effects")
+        calls.update(self.count(monkeypatch, cli.RegressionBlocks, "from_moments"))
+        assert run_command(["simulate", "--model", model_file, "--treatment", "X",
+                            "--response", "Y", "--x", "1", "--n", "10",
+                            "--out", str(tmp_path / "post.csv")]) == 0
+        assert calls == {"check_stability": 1, "_equilibrium_moments": 0, "total_effects": 0,
+                         "from_moments": 0}
 
 
 class TestReports:
