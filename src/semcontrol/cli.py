@@ -100,9 +100,7 @@ def _text_items(mapping: dict, indent: int) -> list[str]:
 
 
 def _names(raw: str | None) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    return tuple(name.strip() for name in raw.split(",") if name.strip())
+    return tuple(name.strip() for name in (raw or "").split(",") if name.strip())
 
 
 def _floats(raw: str, flag: str) -> np.ndarray:
@@ -200,11 +198,9 @@ class _Analysis:
 
     @cached_property
     def moments(self):
-        self.gated  # first the gate, which also makes the implied moments exist
-        if self.args.cov:
-            return load_covariance(self.args.cov)
-        if self.args.data:
-            return sample_moments(Dataset.from_csv(self.args.data))
+        part = self.gated  # first the gate, which also makes the implied moments exist
+        if _moment_source(self.args):
+            return _read_moments(self.args, (part.treatment, *part.controls, *part.covariates))
         return _equilibrium_moments(self.model)
 
     @cached_property
@@ -225,16 +221,27 @@ class _Analysis:
         return resolve_plan(self.spec, self.gated, optimal)
 
 
+def _moment_source(args) -> dict:
+    """``{"cov": path}``, ``{"data": path}`` or ``{}``: the command's moment file, if any."""
+    return {"cov": args.cov} if args.cov else {"data": args.data} if args.data else {}
+
+
+def _read_moments(args, needed):
+    """The --cov or --data file's moments, refused unless it holds every name in ``needed``."""
+    (kind, path), = _moment_source(args).items()
+    moments = load_covariance(path) if kind == "cov" else sample_moments(Dataset.from_csv(path))
+    missing = [name for name in dict.fromkeys(needed) if name not in moments.variables]
+    if missing:
+        raise InputFormatError(f"{path} lacks variables the command reads: {', '.join(missing)}")
+    return moments
+
+
 def _plan_inputs(analysis: _Analysis) -> dict:
     """A plan command's report inputs; reading them validates the model."""
     args = analysis.args
-    source = {"cov": args.cov} if args.cov else {"data": args.data} if args.data else {}
+    source = _moment_source(args)
     plan = {"plan": args.plan} if args.plan else {}
     return {**analysis.inputs, **source, "source": "sample" if source else "implied", **plan}
-
-
-def _residual_max(optimal) -> float:
-    return float(np.abs(optimal.residual).max()) if optimal.residual.size else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +315,7 @@ def _cmd_plan_eval(args):
             "the plan operates close to |a'g| = 1"
         )
     if analysis.spec.covariate_gains == "optimal":
-        worst = _residual_max(analysis.optimal)
+        worst = float(np.abs(analysis.optimal.residual).max(initial=0.0))
         report.results["optimal_gain_residual_max"] = worst
         if worst > 1e-9:
             report.warnings.append(
@@ -325,7 +332,7 @@ def _cmd_plan_optimize(args):
     report = Report("plan-optimize", inputs=_plan_inputs(analysis))
     plan = analysis.plan
     effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
-    worst = _residual_max(analysis.optimal)
+    worst = float(np.abs(analysis.optimal.residual).max(initial=0.0))
     report.results = {
         "b_star": dict(zip(analysis.gated.covariates, analysis.optimal.covariate_gains)),
         "residual_max": worst,
@@ -342,25 +349,20 @@ def _cmd_plan_optimize(args):
 
 
 def _cmd_estimate(args):
-    if not args.cov and not args.data:
+    if not _moment_source(args):
         raise UsageError("estimate requires --cov or --data")
     _require(args, "--treatment", "--response", "--instruments")
-    if args.cov:
-        moments = load_covariance(args.cov)
-        inputs = {"cov": args.cov}
-    else:
-        moments = sample_moments(Dataset.from_csv(args.data))
-        inputs = {"data": args.data}
     instruments = _names(args.instruments)
     if not instruments:
         raise UsageError("--instruments expects at least one variable name")
+    moments = _read_moments(args, (args.treatment, args.response, *instruments))
     if len(instruments) == 1:
         est = iv_estimate(moments, args.treatment, args.response, instruments[0])
         method = "iv"
     else:
         est = tsls_estimate(moments, args.treatment, args.response, instruments)
         method = "tsls"
-    report = Report("estimate", inputs=inputs)
+    report = Report("estimate", inputs=_moment_source(args))
     report.results = {
         "gamma_hat": est.gamma_hat,
         "method": method,
@@ -494,8 +496,9 @@ def _build_parser() -> _Parser:
                        help="plan disturbance variance")
 
     def add_moment_flags(p):
-        p.add_argument("--cov", default=None, help="covariance JSON file")
-        p.add_argument("--data", default=None, help="observations CSV file")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--cov", default=None, help="covariance JSON file")
+        source.add_argument("--data", default=None, help="observations CSV file")
 
     p = add("validate", _cmd_validate)
     p.add_argument("--model", required=True)
@@ -545,18 +548,11 @@ def _build_parser() -> _Parser:
 def run_command(argv) -> int:
     try:
         args = _build_parser().parse_args(list(argv))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
         report, code = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SemControlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (SemControlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -146,15 +146,6 @@ def plan_is_stable(effects: EffectSummary, plan: ControlPlan) -> PlanStability:
     return PlanStability(stable=bool(margin > STABILITY_TOL), margin=margin, loop_gain=gain)
 
 
-def _require_plan_stable(effects: EffectSummary, plan: ControlPlan) -> PlanStability:
-    status = plan_is_stable(effects, plan)
-    if not status.stable:
-        raise UnstablePlan(
-            f"plan violates the stable condition |a'g_fx| < 1: |a'g_fx| = {abs(status.loop_gain):.6g}"
-        )
-    return status
-
-
 def apply_plan(
     model: StructuralModel,
     partition: VertexPartition,
@@ -236,7 +227,11 @@ def plan_mean(moments: MomentSummary, effects: EffectSummary, plan: ControlPlan)
 
     which reduces to mu_y + g_y k for a recursive plan (a = 0).
     """
-    status = _require_plan_stable(effects, plan)
+    status = plan_is_stable(effects, plan)
+    if not status.stable:
+        raise UnstablePlan(
+            f"plan violates the stable condition |a'g_fx| < 1: |a'g_fx| = {abs(status.loop_gain):.6g}"
+        )
     partition = effects.partition
     gamma = effects.to_controls
     gamma_y = effects.to_response
@@ -268,8 +263,9 @@ def plan_variance(
     optimal gains it attains its minimum, and for a single control it
     vanishes entirely.
     """
+    response_mean = plan_mean(moments, effects, plan)  # the |a'g| < 1 gate
+    status = plan_is_stable(effects, plan)
     partition = effects.partition
-    status = _require_plan_stable(effects, plan)
     f = partition.controls
     w = partition.covariates
     x = partition.treatment
@@ -295,7 +291,7 @@ def plan_variance(
     cov_f = damp @ core @ damp.T
     cov_f = 0.5 * (cov_f + cov_f.T)
     return PlanEffect(
-        response_mean=plan_mean(moments, effects, plan),
+        response_mean=response_mean,
         controls_covariance=cov_f,
         margin=status.margin,
         feedback_factor=factor,
@@ -343,11 +339,8 @@ def covariate_compare(
 
     def removed(w: Sequence[str]) -> np.ndarray:
         w = tuple(w)
-        if not w:
-            return np.zeros((len(f), len(f)))
-        b_fw = regression_blocks(moments, f, w)
-        b_xw = regression_blocks(moments, x, w)[0]
-        resid = b_fw - np.outer(gamma, b_xw)
+        on_w = regression_blocks(moments, f + x, w)  # one inverse of Sigma_ww
+        resid = on_w[:-1] - np.outer(gamma, on_w[-1])
         return resid @ moments.cov_block(w, w) @ resid.T
 
     delta = removed(first) - removed(second)

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularBlock, SingularSystem, UnstableModel
-from .model import StructuralModel, VertexPartition, is_stable, solve, spectral_radius
+from .model import StructuralModel, VertexPartition, inverse, is_stable, spectral_radius
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,11 @@ def total_effects(model: StructuralModel, partition: VertexPartition) -> EffectS
     a_ss = partition.submatrix(coeff, s_names, s_names)
     a_sx = partition.submatrix(coeff, s_names, (partition.treatment,))[:, 0]
 
-    tau = solve(np.eye(len(s_names)) - a_ss, a_sx, SingularSystem(
+    reduced = inverse(np.eye(len(s_names)) - a_ss, SingularSystem(
         "descendant system (I - A_ss) is numerically singular; "
         "the model has no usable reduced form"
     ))
-    return EffectSummary(partition, tau)
+    return EffectSummary(partition, reduced @ a_sx)
 
 
 def implied_moments(model: StructuralModel) -> MomentSummary:
@@ -148,13 +148,16 @@ def _equilibrium_moments(model: StructuralModel) -> MomentSummary:
     """:func:`implied_moments` without its spectral-radius gate, for callers
     that have already found both block radii of a valid model below one
     (their eigenvalues are those of the whole coefficient matrix)."""
-    n = model.n_variables
-    system = np.eye(n) - model.coefficients
-    mean = np.linalg.solve(system, model.intercepts)
-    inv = np.linalg.solve(system, np.eye(n))
+    inv = _equilibrium_map(model)
     cov = (inv * model.disturbance_variances) @ inv.T
     cov = 0.5 * (cov + cov.T)
-    return MomentSummary(model.variables, mean, cov)
+    return MomentSummary(model.variables, inv @ model.intercepts, cov)
+
+
+def _equilibrium_map(model: StructuralModel) -> np.ndarray:
+    """(I - A)^(-1), which takes intercepts plus disturbances to equilibrium values."""
+    singular = SingularSystem("(I - A) is numerically singular; equilibrium is not unique")
+    return inverse(np.eye(model.n_variables) - model.coefficients, singular)
 
 
 def regression_blocks(
@@ -168,12 +171,10 @@ def regression_blocks(
     """
     rows = tuple(rows)
     cols = tuple(cols)
-    if not cols:
-        return np.zeros((len(rows), 0))
     sigma_rc = moments.cov_block(rows, cols)
     sigma_cc = moments.cov_block(cols, cols)
     singular = SingularBlock(f"covariance block for {cols} is singular")
-    return solve(sigma_cc.T, sigma_rc.T, singular).T
+    return sigma_rc @ inverse(sigma_cc, singular)
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,9 @@ class RegressionBlocks:
     ) -> "RegressionBlocks":
         x = (partition.treatment,)
         f = partition.controls
-        w = partition.covariates
+        on_w = regression_blocks(moments, f + x, partition.covariates)  # one Sigma_ww inverse
         return cls(
             controls_on_treatment=regression_blocks(moments, f, x)[:, 0],
-            controls_on_covariates=regression_blocks(moments, f, w),
-            treatment_on_covariates=regression_blocks(moments, x, w)[0],
+            controls_on_covariates=on_w[:-1],
+            treatment_on_covariates=on_w[-1],
         )

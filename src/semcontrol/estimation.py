@@ -30,7 +30,7 @@ from .errors import (
     TooFewRows,
     WeakInstrument,
 )
-from .model import PSD_TOL, StructuralModel, _read_json, model_from_dict, solve
+from .model import PSD_TOL, StructuralModel, _read_json, inverse, model_from_dict
 
 #: Relative correlation scale below which an instrument is called weak.
 WEAK_INSTRUMENT_TOL = 1e-8
@@ -109,6 +109,8 @@ class Dataset:
             raise InputFormatError(f"{path}: no data rows")
         if rows is None or rows.shape[1] != len(header):
             raise InputFormatError(_csv_fault(path, len(header)))
+        if len(set(header)) != len(header):
+            raise InputFormatError(f"{path}: duplicate column names")
         return cls(tuple(header), rows)
 
 
@@ -206,9 +208,9 @@ def tsls_estimate(
         raise ValueError("at least one instrument is required")
     sigma_zz = moments.cov_block(instruments, instruments)
     sigma_zx = moments.cov_block(instruments, (treatment,))[:, 0]
-    first_stage = solve(sigma_zz, sigma_zx, SingularInstrumentBlock(
+    first_stage = inverse(sigma_zz, SingularInstrumentBlock(
         f"instrument covariance block for {instruments} is rank deficient"
-    ))
+    )) @ sigma_zx
     sigma_zy = moments.cov_block(instruments, (response,))[:, 0]
     projected_var = float(first_stage @ sigma_zx)
     if projected_var < WEAK_INSTRUMENT_TOL**2 * moments.var(treatment):

@@ -35,7 +35,7 @@ from .errors import (
 #: Margin below one that a spectral radius must clear to be called stable.
 STABILITY_TOL = 1e-9
 
-#: Condition number above which a linear system is declared singular.
+#: 1-norm condition number above which a linear system is declared singular.
 CONDITION_LIMIT = 1e12
 
 #: Eigenvalue floor for calling a symmetric matrix positive semidefinite.
@@ -291,12 +291,18 @@ def is_stable(rho: float) -> bool:
     return bool(rho < 1.0 - STABILITY_TOL)
 
 
-def solve(matrix: np.ndarray, rhs: np.ndarray, error: Exception) -> np.ndarray:
-    """``np.linalg.solve(matrix, rhs)``, raising ``error`` when ``matrix`` is
-    numerically singular (condition number above :data:`CONDITION_LIMIT`)."""
-    if np.linalg.cond(matrix) > CONDITION_LIMIT:
+def inverse(matrix: np.ndarray, error: Exception) -> np.ndarray:
+    """``np.linalg.inv(matrix)``, the package's one linear solve, raising ``error`` when
+    LAPACK finds ``matrix`` singular or ``||M||_1 ||M^-1||_1`` is not ``<= CONDITION_LIMIT``."""
+    if matrix.size == 0:  # no covariates, say; numpy 1.x has no 1-norm of a 0x0 matrix
+        return np.zeros_like(matrix, dtype=float)
+    try:
+        inv = np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        raise error from None
+    if not np.linalg.norm(matrix, 1) * np.linalg.norm(inv, 1) <= CONDITION_LIMIT:
         raise error
-    return np.linalg.solve(matrix, rhs)
+    return inv
 
 
 def spectral_radius(matrix: np.ndarray) -> float:

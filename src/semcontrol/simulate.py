@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .control import ControlPlan, apply_plan
-from .errors import SingularSystem, UnstableModelWarning, UnstablePlan
+from .effects import _equilibrium_map
+from .errors import UnstableModelWarning, UnstablePlan
 from .estimation import Dataset
-from .model import StructuralModel, VertexPartition, is_stable, solve, spectral_radius
+from .model import StructuralModel, VertexPartition, check_stability, is_stable, spectral_radius
 
 RNG_ALGORITHM = "philox4x64-counter"
 
@@ -110,10 +111,7 @@ def _draw(
     if not 0 <= start <= stop <= config.n_draws:
         raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
 
-    n = model.n_variables
-    inverse = solve(np.eye(n) - model.coefficients, np.eye(n), SingularSystem(
-        "(I - A) is numerically singular; equilibrium is not unique"
-    ))
+    inverse = _equilibrium_map(model)
     eps = _disturbances(model, config, start, stop)
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
@@ -163,11 +161,13 @@ def simulate_plan(
     gates on the spectral radius of the post-plan coefficient matrix, which
     is the exact condition for the sampled equilibrium to be the reachable
     steady state; ``draw_equilibrium(apply_plan(...))`` samples an
-    unreachable one anyway, with a warning.
+    unreachable one anyway, with a warning.  The plan rewrites only the
+    treatment row, so that radius is the larger of the two block radii.
     """
     post = apply_plan(model, partition, plan)
-    rho = spectral_radius(post.coefficients)
-    if not is_stable(rho):
+    report = check_stability(post, partition)
+    rho = max(report.nondescendant_radius, report.feedback_radius)
+    if not report.stable:
         raise UnstablePlan(
             f"post-plan spectral radius {rho:.6g} is not below 1; the controlled "
             "equilibrium is not reachable"

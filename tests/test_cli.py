@@ -655,6 +655,63 @@ class TestMalformedInput:
         assert err.startswith("error: 'matrix' is not positive semidefinite")
 
 
+class TestMomentSources:
+    """A command takes its moments from --cov or --data, never both, and the
+    file must hold every variable the command reads."""
+
+    PART = ["--treatment", "X", "--response", "Y"]
+    COMMANDS = {
+        "plan-eval": ["plan-eval", "--model", "{model}", *PART, "--W", "Z1,Z2"],
+        "plan-optimize": ["plan-optimize", "--model", "{model}", *PART, "--W", "Z1,Z2"],
+        "simulate": ["simulate", "--model", "{model}", *PART, "--W", "Z1,Z2", "--b", "optimal",
+                     "--n", "10", "--out", "{out}"],
+        "estimate": ["estimate", *PART, "--instruments", "Z3,Z2"],
+    }
+
+    @staticmethod
+    def sources(tmp_path, drop=()):
+        """A covariance file and a CSV of Iverson-model draws, without the ``drop`` columns."""
+        moments = sc.iverson_moments()
+        keep = [v for v in moments.variables if v not in drop]
+        cov = write_json(tmp_path / "cov.json", {
+            "variables": keep, "matrix": moments.cov_block(keep, keep).tolist(),
+            "means": moments.mean_of(keep).tolist(), "n": moments.n_obs,
+        })
+        draws = sc.draw_equilibrium(sc.iverson_model(), sc.SimulationConfig(50, seed=3))
+        data = tmp_path / "obs.csv"
+        columns = [draws.columns.index(v) for v in keep]
+        sc.Dataset(keep, draws.rows[:, columns]).to_csv(data)
+        return {"cov": cov, "data": str(data)}
+
+    def argv(self, command, model_file, tmp_path, *extra):
+        paths = {"model": model_file, "out": str(tmp_path / "out.csv")}
+        return [arg.format(**paths) for arg in self.COMMANDS[command]] + list(extra)
+
+    @pytest.mark.parametrize("source", ["cov", "data"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_variable_names_the_file(self, model_file, tmp_path, capsys, command,
+                                             source):
+        path = self.sources(tmp_path, drop=("Z2",))[source]
+        assert run_command(self.argv(command, model_file, tmp_path, f"--{source}", path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path} lacks variables the command reads: Z2\n")
+
+    @pytest.mark.parametrize("source", ["cov", "data"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_complete_file_is_read(self, model_file, tmp_path, capsys, command, source):
+        path = self.sources(tmp_path)[source]
+        assert run_command(self.argv(command, model_file, tmp_path, f"--{source}", path)) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cov_with_data_is_usage_error(self, model_file, tmp_path, capsys, command):
+        paths = self.sources(tmp_path)
+        argv = self.argv(command, model_file, tmp_path, "--cov", paths["cov"],
+                         "--data", paths["data"])
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == (
+            "usage error: argument --data: not allowed with argument --cov\n")
+
+
 def iverson_payload():
     return model_to_dict(sc.iverson_model())
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
+from semcontrol.effects import _equilibrium_moments
 from support import mean_stderr, random_cyclic_model
 
 
@@ -96,6 +97,17 @@ class TestImpliedMoments:
         )
         with pytest.raises(sc.UnstableModel):
             sc.implied_moments(model)
+
+    def test_singular_system_gated_like_the_sampler(self):
+        # (I - A) of a unit two-cycle is exactly singular
+        model = sc.StructuralModel.from_edges(
+            [("X", "Y", 1.0), ("Y", "X", 1.0)], variables=["Y", "X"]
+        )
+        with pytest.raises(sc.SingularSystem) as moments:
+            _equilibrium_moments(model)
+        with pytest.raises(sc.SingularSystem) as draws:
+            sc.draw_equilibrium(model, sc.SimulationConfig(10))
+        assert str(moments.value) == str(draws.value)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=20, deadline=None, derandomize=True)

@@ -228,6 +228,13 @@ class TestMalformedCsv:
         assert type(info.value) is error and str(info.value) == message
         assert self._estimate(path, capsys) == (2, f"error: {message}\n")
 
+    def test_duplicate_columns_name_the_file(self, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_bytes((_HEADER.replace("Z", "X") + _ROWS).encode())
+        with pytest.raises(sc.InputFormatError, match="^.*obs.csv: duplicate column names$"):
+            sc.Dataset.from_csv(path)
+        assert self._estimate(path, capsys) == (2, f"error: {path}: duplicate column names\n")
+
     @staticmethod
     def _estimate(path, capsys):
         code = run_command(["estimate", "--data", str(path), "--treatment", "X",

@@ -1,12 +1,15 @@
 """Model representation, validation, partitioning, and stability checks."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
-from semcontrol.model import model_from_dict, model_to_dict
+from semcontrol.model import CONDITION_LIMIT, inverse, model_from_dict, model_to_dict
 from support import cubic_roots, random_cyclic_model, reachable_floyd_warshall
 
 
@@ -228,6 +231,74 @@ class TestCheckStability:
         assert sc.check_stability(post, part).stable
         # no arrow points into the treatment any more
         assert post.diagram.parents("X") == ()
+
+
+class TestInverse:
+    """``model.inverse`` is the one linear solve, gated on the 1-norm condition number."""
+
+    def test_one_norm_condition_number_is_compared_with_the_limit(self):
+        # a random 3x3 with its smallest singular value rescaled so that
+        # kappa_2 = 8.0e11 is below the limit while kappa_1 = 1.35e12 is above it
+        u, s, vt = np.linalg.svd(np.random.default_rng(3).standard_normal((3, 3)))
+        s[2] = s[0] / 8e11
+        matrix = (u * s) @ vt
+        assert np.linalg.cond(matrix) < CONDITION_LIMIT < np.linalg.cond(matrix, 1)
+        with pytest.raises(sc.SingularSystem):
+            inverse(matrix, sc.SingularSystem("singular"))
+
+    @pytest.mark.parametrize("matrix", [[[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+                             ids=["zero-pivot", "nan-condition-number"])
+    def test_singular_matrix_raises_the_given_error(self, matrix):
+        error = sc.SingularBlock("the given error")
+        with pytest.raises(sc.SingularBlock) as info:
+            inverse(np.array(matrix), error)
+        assert info.value is error
+
+    @pytest.mark.parametrize("scale, accepted", [(1.0 + 1e-6, True), (1.0 - 1e-6, False)])
+    def test_tolerance_band(self, scale, accepted):
+        matrix = np.diag([1.0, 1e-12 * scale])  # kappa_1 = 1e12 / scale
+        if accepted:
+            assert np.array_equal(inverse(matrix, sc.SingularSystem("singular")),
+                                  np.diag([1.0, 1.0 / (1e-12 * scale)]))
+        else:
+            with pytest.raises(sc.SingularSystem):
+                inverse(matrix, sc.SingularSystem("singular"))
+
+    def test_empty_matrix_is_its_own_inverse(self, monkeypatch):
+        # no covariates gives a 0x0 block; it must not reach the 1-norm, which
+        # numpy 1.x cannot reduce over an empty matrix (a max over nothing)
+        norm = np.linalg.norm
+
+        def numpy1_norm(x, *args, **kwargs):
+            if np.size(x) == 0:
+                raise ValueError("zero-size array to reduction operation maximum")
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", numpy1_norm)
+        assert inverse(np.zeros((0, 0)), sc.SingularBlock("singular")).shape == (0, 0)
+
+    def test_no_linear_solve_bypasses_the_gate(self):
+        """Every ``cond``, ``solve``, ``inv``, ``pinv`` or ``lstsq`` of a ``linalg``
+        module in the package sits inside ``model.inverse``."""
+        banned = {"cond", "solve", "inv", "pinv", "lstsq"}
+        found = []
+        for path in sorted(Path(sc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            functions = [node for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+            def owner(node):
+                spans = [(f.end_lineno - f.lineno, f.name) for f in functions
+                         if f.lineno <= node.lineno <= f.end_lineno]
+                return min(spans)[1] if spans else None
+
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                    found += [(path.name, owner(node), alias.name) for alias in node.names]
+                elif (isinstance(node, ast.Attribute) and node.attr in banned
+                      and ast.unparse(node.value).endswith("linalg")):
+                    found.append((path.name, owner(node), node.attr))
+        assert found == [("model.py", "inverse", "inv")]
 
 
 class TestConvergenceProperties:

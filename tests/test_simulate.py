@@ -194,6 +194,31 @@ class TestSimulatePlan:
             sc.simulate_plan(iverson_model, part, plan, sc.SimulationConfig(10, seed=0))
 
 
+    @pytest.mark.parametrize("gap", [1e-10, 1e-8])
+    @pytest.mark.parametrize("block", ["feedback", "nondescendant"])
+    def test_gate_agrees_with_the_whole_post_plan_radius(self, gap, block):
+        # a radius of 1 - gap in either block straddles 1 - STABILITY_TOL: the plan
+        # X = rho Y closes a loop with X -> Y at rho, or a Z1 <-> Z2 loop carries it
+        rho = 1.0 - gap
+        loop = rho if block == "feedback" else 0.5
+        edges = [("X", "Y", loop), ("Z1", "X", 0.3)]
+        if block == "nondescendant":
+            edges += [("Z1", "Z2", rho), ("Z2", "Z1", rho)]
+        model = sc.StructuralModel.from_edges(edges)
+        part = sc.partition_vertices(model, "X", "Y", covariates=["Z1"])
+        plan = sc.ControlPlan(1.0, [loop], [0.2])
+        post = sc.apply_plan(model, part, plan)
+        stable = sc.model.is_stable(sc.spectral_radius(post.coefficients))
+        assert stable == (gap > sc.model.STABILITY_TOL)
+        config = sc.SimulationConfig(10)
+        if stable:
+            drawn = sc.simulate_plan(model, part, plan, config)
+            assert np.array_equal(drawn.rows, sc.draw_equilibrium(post, config).rows)
+        else:
+            with pytest.raises(sc.UnstablePlan, match="post-plan spectral radius 1 "):
+                sc.simulate_plan(model, part, plan, config)
+
+
 class TestSaveRun:
     def test_csv_and_sidecar(self, tmp_path, two_cycle_model):
         config = sc.SimulationConfig(25, seed=5, law="uniform")
