@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
-from .effects import RegressionBlocks, _equilibrium_moments, total_effects
+from .effects import RegressionBlocks, implied_moments, total_effects
 from .errors import InputFormatError, SemControlError, UnstableModel, UnstableModelWarning
 from .estimation import (
     Dataset,
@@ -201,7 +201,7 @@ class _Analysis:
         part = self.gated  # first the gate, which also makes the implied moments exist
         if _moment_source(self.args):
             return _read_moments(self.args, (part.treatment, *part.controls, *part.covariates))
-        return _equilibrium_moments(self.model)
+        return implied_moments(self.model)
 
     @cached_property
     def effects(self):
@@ -271,7 +271,7 @@ def _cmd_stability(args):
         }
         stable = rep.stable
     else:
-        rho = spectral_radius(analysis.model.coefficients)
+        rho = spectral_radius(analysis.model)
         stable = is_stable(rho)
         results = {"spectral_radius": rho, "stable": stable, "margin": 1.0 - rho}
     report = Report("stability", inputs=analysis.inputs, results=results)

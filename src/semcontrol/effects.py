@@ -136,18 +136,11 @@ def total_effects(model: StructuralModel, partition: VertexPartition) -> EffectS
 
 def implied_moments(model: StructuralModel) -> MomentSummary:
     """Equilibrium mean and covariance implied by a stable model."""
-    rho = spectral_radius(model.coefficients)
+    rho = spectral_radius(model)
     if not is_stable(rho):
         raise UnstableModel(
             f"spectral radius {rho:.6g} is not below 1; equilibrium moments do not exist"
         )
-    return _equilibrium_moments(model)
-
-
-def _equilibrium_moments(model: StructuralModel) -> MomentSummary:
-    """:func:`implied_moments` without its spectral-radius gate, for callers
-    that have already found both block radii of a valid model below one
-    (their eigenvalues are those of the whole coefficient matrix)."""
     inv = _equilibrium_map(model)
     cov = (inv * model.disturbance_variances) @ inv.T
     cov = 0.5 * (cov + cov.T)

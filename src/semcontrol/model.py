@@ -173,6 +173,11 @@ class StructuralModel:
     def index(self, name: str) -> int:
         return self.diagram.index(name)
 
+    @cached_property
+    def _components(self) -> list[tuple[np.ndarray, float]]:
+        """:func:`_scc_radii` of the coefficients, searched once per model."""
+        return _scc_radii(self.coefficients)
+
     @classmethod
     def from_edges(
         cls,
@@ -305,19 +310,34 @@ def inverse(matrix: np.ndarray, error: Exception) -> np.ndarray:
     return inv
 
 
-def spectral_radius(matrix: np.ndarray) -> float:
-    """Largest eigenvalue modulus of a square real matrix.
+def spectral_radius(matrix: np.ndarray | StructuralModel) -> float:
+    """Largest eigenvalue modulus of a square real matrix, or of a model's coefficients.
 
+    It is the largest radius in :func:`_scc_radii`, which a model searches once.
     Raises :class:`NonFiniteEntry` when the matrix contains NaN or infinity.
+    """
+    parts = matrix._components if isinstance(matrix, StructuralModel) else _scc_radii(matrix)
+    return max((rho for _, rho in parts), default=0.0)
+
+
+def _scc_radii(matrix: np.ndarray) -> list[tuple[np.ndarray, float]]:
+    """The strongly connected components of a square matrix's nonzero pattern, each as
+    its indices and the spectral radius of its diagonal block.  Ordered by its
+    condensation the matrix is block triangular, so these blocks hold its whole spectrum.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.size == 0:
-        return 0.0
     if not np.isfinite(m).all():
         raise NonFiniteEntry("matrix has non-finite entries")
-    return float(np.abs(np.linalg.eigvals(m)).max())
+    reach, closure = None, (m != 0.0) | np.eye(len(m), dtype=bool)
+    while not np.array_equal(reach, closure):  # squaring: about log2(longest path) rounds
+        reach = closure
+        closure = reach.astype(np.float32) @ reach.astype(np.float32) > 0.0
+    mutual = closure & closure.T
+    lowest = ~np.tril(mutual, -1).any(axis=1)  # no lower-indexed vertex in its component
+    return [(g, float(np.abs(np.linalg.eigvals(m[np.ix_(g, g)])).max()))
+            for g in map(np.flatnonzero, mutual[lowest])]
 
 
 def validate_model(model: StructuralModel, partition: VertexPartition | None = None) -> list[str]:
@@ -439,13 +459,12 @@ def check_stability(model: StructuralModel, partition: VertexPartition) -> Stabi
     The characteristic polynomial of the full coefficient matrix factors into
     the nondescendant block and the feedback block (descendants plus
     treatment), so the model is stable exactly when both spectral radii are
-    below one.
+    below one.  Each block holds whole strongly connected components: one with the
+    treatment or a descendant is in the feedback block, any other is nondescendant.
     """
-    coeff = model.coefficients
-    t_names = partition.nondescendants
-    fb_names = partition.descendants + (partition.treatment,)
-    rho_t = spectral_radius(partition.submatrix(coeff, t_names, t_names))
-    rho_fb = spectral_radius(partition.submatrix(coeff, fb_names, fb_names))
+    feedback = set(partition.indices(partition.descendants + (partition.treatment,)))
+    rho_t = max((rho for g, rho in model._components if feedback.isdisjoint(g)), default=0.0)
+    rho_fb = max((rho for g, rho in model._components if not feedback.isdisjoint(g)), default=0.0)
     worst = max(rho_t, rho_fb)
     return StabilityReport(
         nondescendant_radius=rho_t,

@@ -25,7 +25,7 @@ from .control import ControlPlan, apply_plan
 from .effects import _equilibrium_map
 from .errors import UnstableModelWarning, UnstablePlan
 from .estimation import Dataset
-from .model import StructuralModel, VertexPartition, check_stability, is_stable, spectral_radius
+from .model import StructuralModel, VertexPartition, is_stable, spectral_radius
 
 RNG_ALGORITHM = "philox4x64-counter"
 
@@ -90,23 +90,6 @@ def draw_equilibrium(
     An unstable model still has a solvable equilibrium but cannot reach it
     by iteration, so sampling one only emits a warning.
     """
-    data = _draw(model, config, row_range)
-    if not is_stable(spectral_radius(model.coefficients)):
-        warnings.warn(
-            "model is not stable: equilibrium draws exist but are not reachable "
-            "by iteration from any starting point",
-            UnstableModelWarning,
-            stacklevel=2,
-        )
-    return data
-
-
-def _draw(
-    model: StructuralModel,
-    config: SimulationConfig,
-    row_range: tuple[int, int] | None,
-) -> Dataset:
-    """Equilibrium draws of the rows in ``row_range``, without a stability check."""
     start, stop = row_range if row_range is not None else (0, config.n_draws)
     if not 0 <= start <= stop <= config.n_draws:
         raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
@@ -116,6 +99,13 @@ def _draw(
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
     values = np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
+    if not is_stable(spectral_radius(model)):
+        warnings.warn(
+            "model is not stable: equilibrium draws exist but are not reachable "
+            "by iteration from any starting point",
+            UnstableModelWarning,
+            stacklevel=2,
+        )
     return Dataset(model.variables, values)
 
 
@@ -161,18 +151,16 @@ def simulate_plan(
     gates on the spectral radius of the post-plan coefficient matrix, which
     is the exact condition for the sampled equilibrium to be the reachable
     steady state; ``draw_equilibrium(apply_plan(...))`` samples an
-    unreachable one anyway, with a warning.  The plan rewrites only the
-    treatment row, so that radius is the larger of the two block radii.
+    unreachable one anyway, with a warning.
     """
     post = apply_plan(model, partition, plan)
-    report = check_stability(post, partition)
-    rho = max(report.nondescendant_radius, report.feedback_radius)
-    if not report.stable:
+    rho = spectral_radius(post)
+    if not is_stable(rho):
         raise UnstablePlan(
             f"post-plan spectral radius {rho:.6g} is not below 1; the controlled "
             "equilibrium is not reachable"
         )
-    return _draw(post, config, row_range)
+    return draw_equilibrium(post, config, row_range)
 
 
 def save_run(

@@ -510,21 +510,21 @@ class TestComputeOnce:
 
     def test_plan_eval_with_optimal_gains(self, model_file, monkeypatch, capsys):
         calls = self.count(monkeypatch, cli, "check_stability", "total_effects", "optimal_b",
-                           "_equilibrium_moments")
+                           "implied_moments")
         assert run_command(["plan-eval", "--model", model_file, "--treatment", "X",
                             "--response", "Y", "--W", "Z1", "--a", "-1", "--b", "optimal"]) == 0
         assert calls == {"check_stability": 1, "total_effects": 1, "optimal_b": 1,
-                         "_equilibrium_moments": 1}
+                         "implied_moments": 1}
 
     def test_fixed_gain_simulate_reads_no_moments(self, model_file, tmp_path, monkeypatch,
                                                   capsys):
-        calls = self.count(monkeypatch, cli, "check_stability", "_equilibrium_moments",
+        calls = self.count(monkeypatch, cli, "check_stability", "implied_moments",
                            "total_effects")
         calls.update(self.count(monkeypatch, cli.RegressionBlocks, "from_moments"))
         assert run_command(["simulate", "--model", model_file, "--treatment", "X",
                             "--response", "Y", "--x", "1", "--n", "10",
                             "--out", str(tmp_path / "post.csv")]) == 0
-        assert calls == {"check_stability": 1, "_equilibrium_moments": 0, "total_effects": 0,
+        assert calls == {"check_stability": 1, "implied_moments": 0, "total_effects": 0,
                          "from_moments": 0}
 
 

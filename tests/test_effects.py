@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
-from semcontrol.effects import _equilibrium_moments
 from support import mean_stderr, random_cyclic_model
 
 
@@ -99,12 +98,11 @@ class TestImpliedMoments:
             sc.implied_moments(model)
 
     def test_singular_system_gated_like_the_sampler(self):
-        # (I - A) of a unit two-cycle is exactly singular
-        model = sc.StructuralModel.from_edges(
-            [("X", "Y", 1.0), ("Y", "X", 1.0)], variables=["Y", "X"]
-        )
+        # a stable model (radius 0) whose I - A has kappa_1 = (1 + 1e7)^2, about 1e14
+        model = sc.StructuralModel.from_edges([("X", "Y", 1e7)], variables=["Y", "X"])
+        assert sc.spectral_radius(model) == 0.0
         with pytest.raises(sc.SingularSystem) as moments:
-            _equilibrium_moments(model)
+            sc.implied_moments(model)
         with pytest.raises(sc.SingularSystem) as draws:
             sc.draw_equilibrium(model, sc.SimulationConfig(10))
         assert str(moments.value) == str(draws.value)
