@@ -65,8 +65,9 @@ class ControlPlan:
             raise ValueError("plan gains must be finite")
         if not np.isfinite(self.set_point):
             raise ValueError("set point must be finite")
-        if self.noise_variance < 0.0:
-            raise ValueError("noise variance must be nonnegative")
+        if not 0.0 <= self.noise_variance < np.inf:  # NaN fails too
+            raise ValueError(f"noise variance must be finite and nonnegative, "
+                             f"got {self.noise_variance!r}")
         a.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "feedback", a)
@@ -388,8 +389,8 @@ def plan_from_dict(payload: dict) -> PlanSpec:
     gains = payload.get("b", {})
     if gains != "optimal" and not isinstance(gains, dict):
         raise InputFormatError("'b' must be an object of covariate name: gain or \"optimal\"")
-    if noise < 0.0:
-        raise InputFormatError("'sigma_eps_star' must be nonnegative")
+    if not 0.0 <= noise < np.inf:  # NaN fails too
+        raise InputFormatError(f"'sigma_eps_star' must be finite and nonnegative, got {noise!r}")
     return PlanSpec(
         set_point=set_point,
         feedback={k: _number(v, f"'a' gain for {k!r}") for k, v in feedback.items()},

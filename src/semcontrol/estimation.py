@@ -111,6 +111,8 @@ class Dataset:
             raise InputFormatError(_csv_fault(path, len(header)))
         if len(set(header)) != len(header):
             raise InputFormatError(f"{path}: duplicate column names")
+        if not np.isfinite(rows).all():  # nan, inf or an overflowing 1e400
+            raise InputFormatError(_csv_fault(path, len(header)))
         return cls(tuple(header), rows)
 
 
@@ -119,7 +121,8 @@ _CSV_BLOCK_CELLS = 2**18
 
 
 def _csv_fault(path, width: int) -> str:
-    """The message naming the first data line that ``np.loadtxt`` rejected.
+    """The message naming the first data line that ``np.loadtxt`` rejected or read
+    as a non-finite number.
 
     Only diagnoses: it walks the rows again, a cell at a time, and accepts a
     cell only if ``loadtxt`` would, so ``1_000`` and non-ASCII digits, which
@@ -135,6 +138,8 @@ def _csv_fault(path, width: int) -> str:
                 return f"{path}:{lineno}: ragged row"
             if not all(_is_number(cell) for cell in row):
                 return f"{path}:{lineno}: non-numeric or missing cell"
+            if not np.isfinite([float(cell) for cell in row]).all():
+                return f"{path}:{lineno}: non-finite cell"
     return f"{path}: unreadable CSV"
 
 
@@ -255,10 +260,10 @@ def covariance_from_dict(payload: dict) -> MomentSummary:
     means = payload.get("means")
     mean = np.zeros(len(variables)) if means is None else _array(means, "'means'")
     n_obs = payload.get("n")
-    try:
-        n_obs = None if n_obs is None else int(n_obs)
-    except (TypeError, ValueError):
-        raise InputFormatError(f"'n' must be an integer, got {n_obs!r}") from None
+    if n_obs is not None:  # an int or a whole float, never a bool, a string or inf
+        if not (type(n_obs) in (int, float) and 0 <= n_obs < np.inf and n_obs % 1 == 0):
+            raise InputFormatError(f"'n' must be a nonnegative integer, got {n_obs!r}")
+        n_obs = int(n_obs)
     try:
         moments = MomentSummary(tuple(variables), mean, matrix, n_obs=n_obs)
     except ValueError as exc:

@@ -528,6 +528,34 @@ class TestComputeOnce:
                          "from_moments": 0}
 
 
+class TestComponentSearch:
+    """A model's strongly connected components are searched at most once per model
+    object, and every spectral radius a command reads comes from them."""
+
+    @pytest.mark.parametrize("argv, searches", [
+        (["effects"], 1),
+        (["plan-eval", "--W", "Z1", "--a", "-1", "--b", "optimal"], 1),
+        (["stability", "--F", "Y"], 1),
+        (["simulate", "--x", "1", "--a", "-1"], 2),  # the model, then the post-plan model
+    ], ids=["effects", "plan-eval-optimal", "stability", "plan-simulate"])
+    def test_searched_once_per_model(self, model_file, tmp_path, monkeypatch, capsys, argv,
+                                     searches):
+        calls = TestComputeOnce.count(monkeypatch, sc.model, "_scc_radii")
+        out = ["--n", "10", "--out", str(tmp_path / "d.csv")] if argv[0] == "simulate" else []
+        assert run_command([*argv, "--model", model_file, "--treatment", "X",
+                            "--response", "Y", *out]) == 0
+        assert calls == {"_scc_radii": searches}
+
+    @pytest.mark.parametrize("argv", [["stability"], ["simulate", "--n", "10"]],
+                             ids=["stability", "observational-simulate"])
+    def test_partition_free_commands_search_once(self, model_file, tmp_path, monkeypatch,
+                                                 capsys, argv):
+        calls = TestComputeOnce.count(monkeypatch, sc.model, "_scc_radii")
+        out = ["--out", str(tmp_path / "d.csv")] if argv[0] == "simulate" else []
+        assert run_command([*argv, "--model", model_file, *out]) == 0
+        assert calls == {"_scc_radii": 1}
+
+
 class TestReports:
     def test_json_report_round_trips(self, model_file, capsys):
         code, payload = run_json(capsys, ["stability", "--model", model_file])
@@ -621,6 +649,44 @@ class TestMalformedInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("command", ["plan-eval", "simulate"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_non_finite_plan_noise_exits_two(self, model_file, tmp_path, capsys, command, value,
+                                             source):
+        if source == "flag":
+            plan, named = ["--x", "1", "--sigma-eps", value], "noise variance"
+        else:  # Python's json writes NaN and Infinity, and reads them back
+            path = write_json(tmp_path / "plan.json", {"x": 1.0, "sigma_eps_star": float(value)})
+            plan, named = ["--plan", path], "'sigma_eps_star'"
+        out = ["--out", str(tmp_path / "post.csv")] if command == "simulate" else []
+        code = run_command([command, "--model", model_file, "--treatment", "X",
+                            "--response", "Y", *plan, *out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {named} must be finite and nonnegative, got {float(value)!r}\n"
+        assert not (tmp_path / "post.csv").exists()
+
+    @pytest.mark.parametrize("text", ["1e400", "-7.9", "2.5", "-7", "NaN", "true", '"12"'])
+    def test_covariance_n_must_be_a_whole_number(self, tmp_path, capsys, text):
+        path = tmp_path / "cov.json"
+        path.write_text('{"variables": ["X", "Y", "Z"], "n": %s,'
+                        ' "matrix": [[1, 0.5, 0.5], [0.5, 1, 0.3], [0.5, 0.3, 1]]}' % text)
+        code = run_command(["estimate", "--cov", str(path), "--treatment", "X",
+                            "--response", "Y", "--instruments", "Z"])
+        value = json.loads(text)
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: 'n' must be a nonnegative integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("text, n", [("0", 0), ("40", 40), ("40.0", 40), ("1e3", 1000)])
+    def test_covariance_n_accepts_whole_numbers(self, tmp_path, capsys, text, n):
+        path = tmp_path / "cov.json"
+        path.write_text('{"variables": ["X", "Y", "Z"], "n": %s,'
+                        ' "matrix": [[1, 0.5, 0.5], [0.5, 1, 0.3], [0.5, 0.3, 1]]}' % text)
+        code, payload = run_json(capsys, ["estimate", "--cov", str(path), "--treatment", "X",
+                                          "--response", "Y", "--instruments", "Z"])
+        assert code == 0 and payload["results"]["n"] == n and type(payload["results"]["n"]) is int
 
     def test_duplicate_covariance_variables_exit_two(self, tmp_path, capsys):
         mom = sc.iverson_moments()

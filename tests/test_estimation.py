@@ -207,10 +207,8 @@ class TestMalformedCsv:
          "{path}:2: non-numeric or missing cell"),
         (_HEADER + "# comment\r\n" + _ROWS, sc.InputFormatError, "{path}:2: ragged row"),
         ("X\r\n1\r\n#1\r\n", sc.InputFormatError, "{path}:3: non-numeric or missing cell"),
-        (_HEADER + "nan,2,3\r\n" + _ROWS, ValueError,
-         "dataset contains missing or non-finite values"),
-        (_HEADER + "1e400,2,3\r\n" + _ROWS, ValueError,
-         "dataset contains missing or non-finite values"),
+        (_HEADER + "nan,2,3\r\n" + _ROWS, sc.InputFormatError, "{path}:2: non-finite cell"),
+        (_HEADER + "1e400,2,3\r\n" + _ROWS, sc.InputFormatError, "{path}:2: non-finite cell"),
         (_HEADER + _ROWS + "1_000,2,3\r\n", sc.InputFormatError,
          "{path}:5: non-numeric or missing cell"),
         (_HEADER + "\u0661,2,3\r\n" + _ROWS, sc.InputFormatError,
@@ -227,6 +225,14 @@ class TestMalformedCsv:
             sc.Dataset.from_csv(path)
         assert type(info.value) is error and str(info.value) == message
         assert self._estimate(path, capsys) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400", '" NaN "'])
+    def test_non_finite_cell_names_its_line(self, tmp_path, capsys, cell):
+        path = tmp_path / "obs.csv"
+        path.write_bytes((_HEADER + _ROWS + f"1,{cell},3\r\n" + _ROWS).encode())
+        with pytest.raises(sc.InputFormatError, match=f"^{path}:5: non-finite cell$"):
+            sc.Dataset.from_csv(path)
+        assert self._estimate(path, capsys) == (2, f"error: {path}:5: non-finite cell\n")
 
     def test_duplicate_columns_name_the_file(self, tmp_path, capsys):
         path = tmp_path / "obs.csv"

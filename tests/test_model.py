@@ -199,6 +199,54 @@ class TestSpectralRadius:
         with pytest.raises(sc.NonFiniteEntry):
             sc.spectral_radius(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("matrix, rho", [
+        (np.zeros((0, 0)), 0.0), ([[-0.7]], 0.7), ([[0.0]], 0.0), ([[0.0, 2.0], [0.0, 0.0]], 0.0),
+    ], ids=["empty", "one-loop", "one-bare", "nilpotent"])
+    def test_small_matrices(self, matrix, rho):
+        assert sc.spectral_radius(matrix) == rho
+        n = len(matrix)
+        model = sc.StructuralModel(sc.PathDiagram(tuple("AB"[:n]), ()), matrix,
+                                   np.zeros(n), np.ones(n))
+        assert sc.spectral_radius(model) == rho
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_the_whole_matrix_on_block_triangular_matrices(self, seed):
+        # cyclic blocks, singletons with and without a diagonal entry and nilpotent
+        # blocks, coupled block upper triangular and then permuted
+        rng = np.random.default_rng(seed)
+        kinds = ["cyclic", "cyclic", *rng.choice(["cyclic", "loop", "bare", "nilpotent"],
+                                                 size=rng.integers(0, 6))]
+        rng.shuffle(kinds)
+        blocks = []
+        for kind in kinds:
+            if kind == "cyclic":
+                k = int(rng.integers(2, 6))
+                block = rng.normal(size=(k, k))
+                blocks.append(block * rng.uniform(0.2, 1.5) / np.abs(np.linalg.eigvals(block)).max())
+            elif kind == "nilpotent":
+                blocks.append(np.triu(rng.normal(size=(4, 4)), 1))
+            else:
+                blocks.append(np.full((1, 1), rng.uniform(-1.2, 1.2) if kind == "loop" else 0.0))
+        n = sum(map(len, blocks))
+        upper = np.zeros((n, n))
+        starts = np.cumsum([0, *map(len, blocks)])
+        planted = []
+        for kind, block, start in zip(kinds, blocks, starts):
+            span = slice(start, start + len(block))
+            upper[span, span] = block
+            upper[span, start + len(block):] = 0.5 * rng.normal(size=(len(block), n - span.stop)) \
+                * (rng.random((len(block), n - span.stop)) < 0.5)
+            members = range(span.start, span.stop)
+            planted += [tuple(members)] if kind == "cyclic" else [(i,) for i in members]
+        perm = rng.permutation(n)
+        matrix = upper[np.ix_(perm, perm)]  # vertex i of matrix is vertex perm[i] of upper
+        expected = np.abs(np.linalg.eigvals(matrix)).max()
+        assert sc.spectral_radius(matrix) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        where = np.argsort(perm)
+        found = {frozenset(members.tolist()) for members, _ in sc.model._scc_radii(matrix)}
+        assert found == {frozenset(where[list(group)].tolist()) for group in planted}
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             sc.spectral_radius(np.zeros((2, 3)))
@@ -223,6 +271,20 @@ class TestCheckStability:
         report = sc.check_stability(model, part)
         assert report.feedback_radius == pytest.approx(np.sqrt(1.2), abs=1e-12)
         assert not report.stable
+
+    @pytest.mark.parametrize("variables", [("Y", "X", "Z"), ("Z", "X", "Y")])
+    def test_a_component_with_a_descendant_counts_toward_feedback(self, variables):
+        # an invalid model: Z is a nondescendant by the diagram, but a coefficient
+        # without an edge closes the loop Y -> Z -> Y in the coefficients
+        diagram = sc.PathDiagram(variables, (("X", "Y"), ("Z", "Y")))
+        coeff = np.zeros((3, 3))
+        x, y, z = map(variables.index, "XYZ")
+        coeff[y, x], coeff[y, z], coeff[z, y] = 0.5, 0.6, 1.5
+        model = sc.StructuralModel(diagram, coeff, np.zeros(3), np.ones(3))
+        report = sc.check_stability(model, sc.partition_vertices(model, "X", "Y"))
+        assert report.feedback_radius == pytest.approx(0.9**0.5, rel=1e-12)
+        assert report.nondescendant_radius == 0.0
+        assert sc.spectral_radius(model) == report.feedback_radius
 
     def test_unconditional_plan_removes_the_loop(self, iverson_model, iverson_partition):
         plan = sc.ControlPlan(set_point=1.0, feedback=[0.0], covariate_gains=[])
@@ -277,10 +339,10 @@ class TestInverse:
         monkeypatch.setattr(np.linalg, "norm", numpy1_norm)
         assert inverse(np.zeros((0, 0)), sc.SingularBlock("singular")).shape == (0, 0)
 
-    def test_no_linear_solve_bypasses_the_gate(self):
-        """Every ``cond``, ``solve``, ``inv``, ``pinv`` or ``lstsq`` of a ``linalg``
-        module in the package sits inside ``model.inverse``."""
-        banned = {"cond", "solve", "inv", "pinv", "lstsq"}
+    @staticmethod
+    def linalg_uses(names) -> list[tuple[str, str | None, str]]:
+        """(file, innermost function, name) of every import from a ``linalg`` module
+        in the package, and of every use of one of ``names`` from such a module."""
         found = []
         for path in sorted(Path(sc.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -295,10 +357,26 @@ class TestInverse:
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
                     found += [(path.name, owner(node), alias.name) for alias in node.names]
-                elif (isinstance(node, ast.Attribute) and node.attr in banned
+                elif (isinstance(node, ast.Attribute) and node.attr in names
                       and ast.unparse(node.value).endswith("linalg")):
                     found.append((path.name, owner(node), node.attr))
+        return found
+
+    def test_no_linear_solve_bypasses_the_gate(self):
+        """Every ``cond``, ``solve``, ``inv``, ``pinv`` or ``lstsq`` of a ``linalg``
+        module in the package sits inside ``model.inverse``."""
+        found = self.linalg_uses({"cond", "solve", "inv", "pinv", "lstsq"})
         assert found == [("model.py", "inverse", "inv")]
+
+    def test_one_eigen_solve_and_public_cli_imports(self):
+        """Every general eigen-solve sits in the one function that computes the radius of
+        each strongly connected component, and ``cli`` imports only public names."""
+        found = self.linalg_uses({"eigvals", "eig"})
+        assert {(path, function) for path, function, _ in found} == {("model.py", "_scc_radii")}
+        cli = ast.parse((Path(sc.__file__).parent / "cli.py").read_text())
+        imported = [alias.name for node in ast.walk(cli)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+        assert [name for name in imported if name.split(".")[-1].startswith("_")] == []
 
 
 class TestConvergenceProperties:
