@@ -66,7 +66,7 @@ class ControlPlan:
         if not np.isfinite(self.set_point):
             raise ValueError("set point must be finite")
         if not 0.0 <= self.noise_variance < np.inf:  # NaN fails too
-            raise ValueError(f"noise variance must be finite and nonnegative, "
+            raise ValueError("noise variance must be finite and nonnegative, "
                              f"got {self.noise_variance!r}")
         a.setflags(write=False)
         b.setflags(write=False)

@@ -668,11 +668,13 @@ class TestMalformedInput:
         assert err == f"error: {named} must be finite and nonnegative, got {float(value)!r}\n"
         assert not (tmp_path / "post.csv").exists()
 
+    COV_WITH_N = ('{"variables": ["X", "Y", "Z"], "n": %s,'
+                  ' "matrix": [[1, 0.5, 0.5], [0.5, 1, 0.3], [0.5, 0.3, 1]]}')
+
     @pytest.mark.parametrize("text", ["1e400", "-7.9", "2.5", "-7", "NaN", "true", '"12"'])
     def test_covariance_n_must_be_a_whole_number(self, tmp_path, capsys, text):
         path = tmp_path / "cov.json"
-        path.write_text('{"variables": ["X", "Y", "Z"], "n": %s,'
-                        ' "matrix": [[1, 0.5, 0.5], [0.5, 1, 0.3], [0.5, 0.3, 1]]}' % text)
+        path.write_text(self.COV_WITH_N % text)
         code = run_command(["estimate", "--cov", str(path), "--treatment", "X",
                             "--response", "Y", "--instruments", "Z"])
         value = json.loads(text)
@@ -682,8 +684,7 @@ class TestMalformedInput:
     @pytest.mark.parametrize("text, n", [("0", 0), ("40", 40), ("40.0", 40), ("1e3", 1000)])
     def test_covariance_n_accepts_whole_numbers(self, tmp_path, capsys, text, n):
         path = tmp_path / "cov.json"
-        path.write_text('{"variables": ["X", "Y", "Z"], "n": %s,'
-                        ' "matrix": [[1, 0.5, 0.5], [0.5, 1, 0.3], [0.5, 0.3, 1]]}' % text)
+        path.write_text(self.COV_WITH_N % text)
         code, payload = run_json(capsys, ["estimate", "--cov", str(path), "--treatment", "X",
                                           "--response", "Y", "--instruments", "Z"])
         assert code == 0 and payload["results"]["n"] == n and type(payload["results"]["n"]) is int
