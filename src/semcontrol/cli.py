@@ -19,12 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
-from .effects import RegressionBlocks, implied_moments, total_effects
+from .control import ControlPlan, PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
+from .effects import EffectSummary, RegressionBlocks, implied_moments, total_effects
 from .errors import InputFormatError, SemControlError, UnstableModel, UnstableModelWarning
 from .estimation import (
     Dataset,
     iv_estimate,
+    iverson_model,
     iverson_moments,
     load_covariance,
     sample_moments,
@@ -236,6 +237,17 @@ def _read_moments(args, needed):
     return moments
 
 
+def _residual_max(analysis: _Analysis, report: Report) -> float:
+    """max |residual| of the optimal gains; above 1e-9 it also warns in ``report``."""
+    worst = float(np.abs(analysis.optimal.residual).max(initial=0.0))
+    if worst > 1e-9:
+        report.warnings.append(
+            "optimal covariate gains do not solve the zero-covariance equation exactly "
+            f"(max residual {worst:.4g}); they are its least-squares solution"
+        )
+    return worst
+
+
 def _plan_inputs(analysis: _Analysis) -> dict:
     """A plan command's report inputs; reading them validates the model."""
     args = analysis.args
@@ -315,14 +327,7 @@ def _cmd_plan_eval(args):
             "the plan operates close to |a'g| = 1"
         )
     if analysis.spec.covariate_gains == "optimal":
-        worst = float(np.abs(analysis.optimal.residual).max(initial=0.0))
-        report.results["optimal_gain_residual_max"] = worst
-        if worst > 1e-9:
-            report.warnings.append(
-                "optimal covariate gains do not solve the zero-covariance equation "
-                f"exactly (max residual {worst:.4g}); variance is reported at the "
-                "least-squares gains"
-            )
+        report.results["optimal_gain_residual_max"] = _residual_max(analysis, report)
     return report, 0
 
 
@@ -332,19 +337,13 @@ def _cmd_plan_optimize(args):
     report = Report("plan-optimize", inputs=_plan_inputs(analysis))
     plan = analysis.plan
     effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
-    worst = float(np.abs(analysis.optimal.residual).max(initial=0.0))
     report.results = {
         "b_star": dict(zip(analysis.gated.covariates, analysis.optimal.covariate_gains)),
-        "residual_max": worst,
+        "residual_max": _residual_max(analysis, report),
         "mean_y": effect.response_mean,
         "var_y": effect.response_variance,
         "feedback_factor": effect.feedback_factor,
     }
-    if worst > 1e-9:
-        report.warnings.append(
-            f"zero-covariance equation is inconsistent (max residual {worst:.4g}); "
-            "returned gains are the least-squares solution"
-        )
     return report, 0
 
 
@@ -416,39 +415,40 @@ def _cmd_simulate(args):
 
 def _cmd_reproduce_iverson(args):
     moments = iverson_moments()
-    est = iv_estimate(moments, "X", "Y", "Z3")
-    gamma = est.gamma_hat
-
-    base_var = (
-        moments.var("Y")
-        + gamma**2 * moments.var("X")
-        - 2.0 * gamma * moments.cov("X", "Y")
-    )
+    gamma = iv_estimate(moments, "X", "Y", "Z3").gamma_hat
+    part = partition_vertices(iverson_model(), "X", "Y")
+    effects = EffectSummary(part, [gamma])
+    blocks = RegressionBlocks.from_moments(moments, part)
+    # the means are zero, so at set point 1 the response mean is the mean coefficient
+    plans = {a: plan_variance(moments, effects, blocks, ControlPlan(1.0, [a], []))
+             for a in (0.0, -5.0, -10.0, -20.0)}
+    base = plans.pop(0.0)
+    base_var = base.response_variance
     published_var = 0.998
 
-    amplification = {}
-    for a in (-5.0, -10.0, -20.0):
-        factor = 1.0 / (1.0 - gamma * a)
-        amplification[f"a={a:g}"] = {
-            "mean_coefficient": gamma * factor,
-            "mean_factor": factor,
-            "variance_factor": factor**2,
-            "variance": base_var * factor**2,
-        }
-
-    report = Report(
-        "reproduce-iverson",
-        inputs={"fixture": "iverson_covariance.json", "n": moments.n_obs},
-    )
+    report = Report("reproduce-iverson", inputs={
+        "fixture": "iverson_covariance.json",
+        "model_fixture": "iverson_model.json",
+        "n": moments.n_obs,
+    })
     report.results = {
         "gamma_hat_iv_z3": gamma,
         "observational_var_y": moments.var("Y"),
         "unconditional_plan": {
-            "mean_coefficient": gamma,
+            "mean_coefficient": base.response_mean,
             "var_y_closed_form": base_var,
             "var_y_published": published_var,
         },
-        "conditional_plan": amplification,
+        "conditional_plan": {
+            f"a={a:g}": {
+                "mean_coefficient": effect.response_mean,
+                "mean_factor": effect.feedback_factor,
+                "variance_factor": effect.feedback_factor**2,
+                "variance": effect.response_variance,
+            }
+            for a, effect in plans.items()
+        },
+        # a = -1/gamma sits on |a'g| = 1, which plan_variance refuses: closed limits
         "feedback_limit": {
             "mean_coefficient": gamma / 2.0,
             "variance_factor": 0.25,

@@ -38,12 +38,12 @@ from .errors import (
 )
 from .model import (
     PSD_TOL,
-    STABILITY_TOL,
     PathDiagram,
     StructuralModel,
     VertexPartition,
     _number,
     _read_json,
+    is_stable,
 )
 
 
@@ -143,8 +143,7 @@ def plan_is_stable(effects: EffectSummary, plan: ControlPlan) -> PlanStability:
     """Check the feedback condition |a'g| < 1 and report the margin."""
     _check_plan_shapes(effects.partition, plan)
     gain = float(plan.feedback @ effects.to_controls)
-    margin = 1.0 - abs(gain)
-    return PlanStability(stable=bool(margin > STABILITY_TOL), margin=margin, loop_gain=gain)
+    return PlanStability(stable=is_stable(abs(gain)), margin=1.0 - abs(gain), loop_gain=gain)
 
 
 def apply_plan(
@@ -212,13 +211,6 @@ def optimal_b(effects: EffectSummary, blocks: RegressionBlocks) -> OptimalGains:
     return OptimalGains(b_row, residual)
 
 
-def _shift(moments: MomentSummary, partition: VertexPartition, plan: ControlPlan) -> float:
-    """The common mean shift x - mu_x + b' mu_w."""
-    mu_x = float(moments.mean_of((partition.treatment,))[0])
-    mu_w = moments.mean_of(partition.covariates)
-    return plan.set_point - mu_x + float(plan.covariate_gains @ mu_w)
-
-
 def plan_mean(moments: MomentSummary, effects: EffectSummary, plan: ControlPlan) -> float:
     """Post-intervention mean of the response.
 
@@ -236,9 +228,9 @@ def plan_mean(moments: MomentSummary, effects: EffectSummary, plan: ControlPlan)
     partition = effects.partition
     gamma = effects.to_controls
     gamma_y = effects.to_response
-    mu_y = float(moments.mean_of((partition.response,))[0])
+    mu_y, mu_x = moments.mean_of((partition.response, partition.treatment)).tolist()
     mu_f = moments.mean_of(partition.controls)
-    k = _shift(moments, partition, plan)
+    k = plan.set_point - mu_x + float(plan.covariate_gains @ moments.mean_of(partition.covariates))
     feedback_term = float(plan.feedback @ (mu_f + gamma * k))
     return mu_y + gamma_y * k + gamma_y / (1.0 - status.loop_gain) * feedback_term
 

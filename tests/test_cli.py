@@ -51,9 +51,14 @@ def write_json(path, payload):
     return str(path)
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def run_json(capsys, argv):
+    """Exit code and JSON report of a command; a NaN or Infinity token fails the parse."""
     code = run_command([*argv, "--format", "json"])
-    payload = json.loads(capsys.readouterr().out)
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     return code, payload
 
 
@@ -311,6 +316,27 @@ class TestPlanCommands:
         assert code == 0
         for key in ("mean_y", "var_y"):
             assert abs(via_flag["results"][key] - via_value["results"][key]) < 1e-12
+
+
+    def test_plan_commands_share_one_residual_warning(self, tmp_path, capsys):
+        # two controls with one covariate: g b' = g B_xw - B_fw has no exact solution
+        edges = [("Z", "X", 0.5), ("X", "Y", 1.0), ("X", "V", 0.5), ("Y", "V", 0.3),
+                 ("Z", "Y", 0.4), ("Z", "V", 0.7)]
+        path = write_json(tmp_path / "two_controls.json", {
+            "variables": ["Y", "V", "X", "Z"],
+            "edges": [{"from": s, "to": t, "coeff": c} for s, t, c in edges],
+        })
+        base = ["--model", path, "--treatment", "X", "--response", "Y", "--F", "Y,V", "--W", "Z"]
+        code, evaluated = run_json(capsys, ["plan-eval", *base, "--b", "optimal"])
+        assert code == 0
+        code, optimized = run_json(capsys, ["plan-optimize", *base])
+        assert code == 0
+        worst = evaluated["results"]["optimal_gain_residual_max"]
+        assert worst == optimized["results"]["residual_max"] == pytest.approx(0.3049, abs=5e-5)
+        assert evaluated["warnings"] == optimized["warnings"] == [
+            "optimal covariate gains do not solve the zero-covariance equation exactly "
+            "(max residual 0.3049); they are its least-squares solution"
+        ]
 
 
 class TestEstimate:
@@ -904,3 +930,39 @@ class TestReproduceIverson:
             assert entry["mean_factor"] == pytest.approx(factor, abs=1e-4)
             assert entry["variance_factor"] == pytest.approx(factor**2, abs=1e-4)
         assert any("0.998" in w for w in payload["warnings"])
+        assert payload["inputs"] == {"fixture": "iverson_covariance.json",
+                                     "model_fixture": "iverson_model.json", "n": 213}
+
+    def test_values_are_plan_variance_fields(self, capsys):
+        code, payload = run_json(capsys, ["reproduce-iverson"])
+        assert code == 0
+        results = payload["results"]
+        moments = sc.iverson_moments()
+        gamma = sc.iv_estimate(moments, "X", "Y", "Z3").gamma_hat
+        part = sc.partition_vertices(sc.iverson_model(), "X", "Y")
+        effects = sc.EffectSummary(part, [gamma])
+        blocks = sc.RegressionBlocks.from_moments(moments, part)
+        # the unconditional variance var(Y) + g^2 var(X) - 2 g cov(X, Y), by hand
+        base_var = (moments.var("Y") + gamma**2 * moments.var("X")
+                    - 2.0 * gamma * moments.cov("X", "Y"))
+
+        def close(value, want):
+            return value == pytest.approx(want, rel=1e-14, abs=0.0)
+
+        unconditional = results["unconditional_plan"]
+        effect = sc.plan_variance(moments, effects, blocks, sc.ControlPlan(1.0, [0.0], []))
+        assert unconditional["mean_coefficient"] == effect.response_mean
+        assert unconditional["var_y_closed_form"] == effect.response_variance
+        assert close(effect.response_mean, gamma) and close(effect.response_variance, base_var)
+        for a in (-5.0, -10.0, -20.0):
+            effect = sc.plan_variance(moments, effects, blocks, sc.ControlPlan(1.0, [a], []))
+            factor = effect.feedback_factor
+            assert results["conditional_plan"][f"a={a:g}"] == {
+                "mean_coefficient": effect.response_mean,
+                "mean_factor": factor,
+                "variance_factor": factor**2,
+                "variance": effect.response_variance,
+            }
+            assert close(factor, 1.0 / (1.0 - gamma * a))
+            assert close(effect.response_mean, gamma * factor)
+            assert close(effect.response_variance, base_var * factor**2)
