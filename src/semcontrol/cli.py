@@ -385,6 +385,8 @@ def _cmd_simulate(args):
     analysis = _Analysis(args)
     inputs = {**analysis.inputs, "seed": args.seed, "n": args.n, "law": args.law}
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
+    if config.n_draws < 2:  # the report's sample variances need two rows
+        raise ValueError(f"simulate needs --n of at least 2, got {config.n_draws}")
     caught = []
     if planned:
         read = _given(args, "--cov", "--data")
@@ -545,14 +547,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _non_finite(results: dict, prefix: str = "") -> str | None:
+    """The first key of ``results`` holding a NaN or an infinity, nested keys joined by dots."""
+    for key, value in results.items():
+        if isinstance(value, dict):
+            found = _non_finite(value, f"{prefix}{key}.")
+            if found:
+                return found
+        elif isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+            return f"{prefix}{key}"
+    return None
+
+
 def run_command(argv) -> int:
     try:
         args = _build_parser().parse_args(list(argv))
-        report, code = args.handler(args)
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite result instead
+            report, code = args.handler(args)
+        bad = _non_finite(report.results)
+        if bad:
+            raise ValueError(f"result {bad!r} is not finite")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (SemControlError, ValueError, OSError) as exc:
+    except (SemControlError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,11 +9,14 @@ covariate subset of the nondescendants, and eps* a fresh disturbance with
 variance sigma*.  The plan is nonrecursive when a is nonzero and perfect
 when sigma* is zero.
 
-Writing g for the total effect of the treatment on F, the plan keeps the
-system stable exactly when |a'g| < 1, and then the response mean and the
-covariance of F after intervention have closed forms in the observational
-moments.  The covariate-gain vector minimizing the response variance for a
-given a is
+Writing g for the total effect of the treatment on F, the response mean
+and the covariance of F after intervention have closed forms in the
+observational moments when |a'g| < 1, the condition the plan functions
+gate on.  It does not make the controlled system stable: the post-plan
+coefficient matrix can still have spectral radius at least 1, and then its
+equilibrium exists but is not reached by iteration, which is why
+``simulate_plan`` also gates on that radius.  The covariate-gain vector
+minimizing the response variance for a given a is
 
     b*' = g' (g B_xw - B_fw) / (g'g),
 

@@ -173,6 +173,16 @@ def sample_moments(data: Dataset) -> MomentSummary:
     return MomentSummary(data.columns, mean, cov, n_obs=data.n)
 
 
+def _check_roles(treatment: str, response: str, instruments: Sequence[str]) -> None:
+    """Refuse a variable that plays two roles, whose estimate would be an identity."""
+    if treatment == response:
+        raise ValueError("treatment and response must be distinct vertices")
+    for name in instruments:
+        if name in (treatment, response):
+            role = "treatment" if name == treatment else "response"
+            raise ValueError(f"instrument {name!r} is also the {role}")
+
+
 def iv_estimate(
     moments: MomentSummary,
     treatment: str,
@@ -180,6 +190,7 @@ def iv_estimate(
     instrument: str,
 ) -> IVEstimate:
     """Single-instrument estimate cov(Y,Z) / cov(X,Z)."""
+    _check_roles(treatment, response, (instrument,))
     sigma_xz = moments.cov(treatment, instrument)
     scale = np.sqrt(moments.var(treatment) * moments.var(instrument))
     if scale == 0.0:
@@ -211,6 +222,9 @@ def tsls_estimate(
     instruments = tuple(instruments)
     if not instruments:
         raise ValueError("at least one instrument is required")
+    _check_roles(treatment, response, instruments)
+    if moments.var(treatment) == 0.0:  # the relevance test below would pass 0 < 0
+        raise WeakInstrument(f"{treatment} has zero variance")
     sigma_zz = moments.cov_block(instruments, instruments)
     sigma_zx = moments.cov_block(instruments, (treatment,))[:, 0]
     first_stage = inverse(sigma_zz, SingularInstrumentBlock(
@@ -238,11 +252,14 @@ _COV_KEYS = {"variables", "matrix", "means", "n"}
 
 
 def _array(value, field: str) -> np.ndarray:
-    """A JSON array as floats, or an InputFormatError naming the field."""
+    """A JSON array as finite floats, or an InputFormatError naming the field."""
     try:
-        return np.array(value, dtype=float)
+        array = np.array(value, dtype=float)
     except (TypeError, ValueError):
         raise InputFormatError(f"{field} must be a rectangular array of numbers") from None
+    if not np.isfinite(array).all():  # NaN, Infinity, or a null that float() reads as NaN
+        raise InputFormatError(f"{field} must be finite")
+    return array
 
 
 def covariance_from_dict(payload: dict) -> MomentSummary:

@@ -90,6 +90,8 @@ def draw_equilibrium(
     An unstable model still has a solvable equilibrium but cannot reach it
     by iteration, so sampling one only emits a warning.
     """
+    if not model.n_variables:  # its rows would be empty, which no CSV can hold
+        raise ValueError("model has no variables to draw")
     start, stop = row_range if row_range is not None else (0, config.n_draws)
     if not 0 <= start <= stop <= config.n_draws:
         raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")

@@ -338,6 +338,32 @@ class TestPlanCommands:
             "(max residual 0.3049); they are its least-squares solution"
         ]
 
+    def test_each_command_keeps_its_own_plan_gate(self, tmp_path, capsys):
+        # a stable model (feedback block radius 0.9) on which a = 2 passes |a'g| < 1
+        # while the post-plan coefficient matrix has spectral radius 1.36
+        edges = [("X", "Y", 1.0), ("Y", "V", 0.9), ("V", "Y", -0.9), ("X", "V", 0.5)]
+        path = write_json(tmp_path / "loop.json", {
+            "variables": ["Y", "V", "X"],
+            "edges": [{"from": s, "to": t, "coeff": c} for s, t, c in edges],
+        })
+        plan = ["--model", path, "--treatment", "X", "--response", "Y", "--x", "1", "--a", "2"]
+        code, payload = run_json(capsys, ["plan-eval", *plan])
+        assert code == 0
+        assert payload["results"]["stability_margin"] == pytest.approx(0.3923, abs=5e-5)
+        out = tmp_path / "post.csv"
+        assert run_command(["simulate", *plan, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: post-plan spectral radius 1.36067 is not below 1; "
+            "the controlled equilibrium is not reachable\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_overflowing_result_exits_two_naming_its_key(self, model_file, capsys, fmt):
+        code = run_command(["plan-eval", "--model", model_file, "--treatment", "X",
+                            "--response", "Y", "--a", "20", "--sigma-eps", "1e308",
+                            "--format", fmt])
+        assert (code, capsys.readouterr()) == (2, ("", "error: result 'var_y' is not finite\n"))
+
 
 class TestEstimate:
     def test_from_covariance_file(self, cov_file, capsys):
@@ -390,6 +416,30 @@ class TestEstimate:
         assert code == 2
         assert capsys.readouterr().err == "error: X or Z has zero variance\n"
 
+    @pytest.mark.parametrize("flag", ["--cov", "--data"])
+    def test_zero_variance_treatment_with_two_instruments_is_weak(self, tmp_path, capsys, flag):
+        if flag == "--cov":
+            path = write_json(tmp_path / "cov.json", {
+                "variables": ["X", "Y", "Z1", "Z2"],
+                "matrix": [[0, 0, 0, 0], [0, 1, 0.2, 0.1], [0, 0.2, 1, 0.3], [0, 0.1, 0.3, 1]],
+            })
+        else:
+            path = tmp_path / "obs.csv"
+            path.write_text("X,Y,Z1,Z2\n1,0.5,1,2\n1,2,0,1\n1,1,3,0\n1,0,2,2\n")
+        code = run_command(["estimate", flag, str(path), "--treatment", "X",
+                            "--response", "Y", "--instruments", "Z1,Z2"])
+        assert (code, capsys.readouterr().err) == (2, "error: X has zero variance\n")
+
+    @pytest.mark.parametrize("roles, message", [
+        (["--response", "X", "--instruments", "Z3"],
+         "treatment and response must be distinct vertices"),
+        (["--response", "Y", "--instruments", "X"], "instrument 'X' is also the treatment"),
+        (["--response", "Y", "--instruments", "Z3,Y"], "instrument 'Y' is also the response"),
+    ])
+    def test_variable_in_two_roles_exits_two(self, cov_file, capsys, roles, message):
+        code = run_command(["estimate", "--cov", cov_file, "--treatment", "X", *roles])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+
     def test_requires_a_moment_source(self, capsys):
         assert run_command([
             "estimate", "--treatment", "X", "--response", "Y", "--instruments", "Z3",
@@ -397,6 +447,22 @@ class TestEstimate:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("case, n, message", [
+        ("no-variables", "3", "model has no variables to draw"),
+        ("one-row", "1", "simulate needs --n of at least 2, got 1"),
+        # 10^14 rows of 8 doubles: numpy refuses the allocation at once
+        ("unallocatable", "100000000000000", "Unable to allocate "),
+    ])
+    def test_refused_draw_writes_nothing(self, model_file, tmp_path, capsys, case, n, message):
+        if case == "no-variables":
+            model_file = write_json(tmp_path / "empty.json", {"variables": [], "edges": []})
+        out = tmp_path / "draws.csv"
+        code = run_command(["simulate", "--model", model_file, "--n", n, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert list(tmp_path.glob("draws.csv*")) == []
+
     def test_writes_dataset_and_sidecar(self, model_file, tmp_path, capsys):
         out = tmp_path / "draws.csv"
         code, payload = run_json(capsys, [
@@ -706,6 +772,19 @@ class TestMalformedInput:
         value = json.loads(text)
         assert (code, capsys.readouterr().err) == (
             2, f"error: 'n' must be a nonnegative integer, got {value!r}\n")
+
+    @pytest.mark.parametrize("field, entries", [
+        ("means", '"means": [0, %s, 0], "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]'),
+        ("matrix", '"matrix": [[1, 0, 0], [0, %s, 0], [0, 0, 1]]'),
+    ], ids=["means", "matrix"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_covariance_entry_names_its_field(self, tmp_path, capsys, field, entries,
+                                                         token):
+        path = tmp_path / "cov.json"
+        path.write_text('{"variables": ["X", "Y", "Z"], %s}' % (entries % token))
+        code = run_command(["estimate", "--cov", str(path), "--treatment", "X",
+                            "--response", "Y", "--instruments", "Z"])
+        assert (code, capsys.readouterr().err) == (2, f"error: '{field}' must be finite\n")
 
     @pytest.mark.parametrize("text, n", [("0", 0), ("40", 40), ("40.0", 40), ("1e3", 1000)])
     def test_covariance_n_accepts_whole_numbers(self, tmp_path, capsys, text, n):
