@@ -384,9 +384,9 @@ def _cmd_simulate(args):
         )
     analysis = _Analysis(args)
     inputs = {**analysis.inputs, "seed": args.seed, "n": args.n, "law": args.law}
+    if args.n < 2:  # the report's sample variances need two rows
+        raise ValueError(f"simulate needs --n of at least 2, got {args.n}")
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
-    if config.n_draws < 2:  # the report's sample variances need two rows
-        raise ValueError(f"simulate needs --n of at least 2, got {config.n_draws}")
     caught = []
     if planned:
         read = _given(args, "--cov", "--data")

@@ -450,6 +450,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("case, n, message", [
         ("no-variables", "3", "model has no variables to draw"),
         ("one-row", "1", "simulate needs --n of at least 2, got 1"),
+        ("no-rows", "0", "simulate needs --n of at least 2, got 0"),
         # 10^14 rows of 8 doubles: numpy refuses the allocation at once
         ("unallocatable", "100000000000000", "Unable to allocate "),
     ])
