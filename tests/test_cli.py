@@ -101,6 +101,18 @@ class TestExitCodes:
         assert code == 1
         assert "unrecognized arguments: --tol 0.5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["plan-eval", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--a", "abc"], "--a expects a comma-separated list of numbers"),
+        (["plan-eval", "--model", "{model}", "--response", "Y"],
+         "plan-eval requires --treatment"),
+        (["estimate", "--cov", "{cov}", "--treatment", "X", "--response", "Y",
+          "--instruments", ","], "--instruments expects at least one variable name"),
+    ], ids=["unparsable-gain", "missing-treatment", "no-instrument"])
+    def test_usage_error_is_named(self, model_file, cov_file, capsys, argv, message):
+        code = run_command([arg.format(model=model_file, cov=cov_file) for arg in argv])
+        assert (code, capsys.readouterr().err) == (1, f"usage error: {message}\n")
+
     def test_missing_file_exits_two(self, capsys):
         assert run_command(["validate", "--model", "/nonexistent/model.json"]) == 2
 
@@ -690,6 +702,8 @@ class TestReports:
 
 
 class TestMalformedInput:
+    PART = ["--treatment", "X", "--response", "Y"]
+
     MODEL = {
         "variables": ["Y", "X"],
         "edges": [{"from": "X", "to": "Y", "coeff": 0.5}],
@@ -759,6 +773,46 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {named} must be finite and nonnegative, got {float(value)!r}\n"
+        assert not (tmp_path / "post.csv").exists()
+
+    @pytest.mark.parametrize("kind, payload, message", [
+        ("model", [], "model file must contain a JSON object"),
+        ("model", {"variables": ["X"], "edges": [], "w": 1}, "unknown model keys: ['w']"),
+        ("model", {"variables": ["X"]}, "model file requires 'variables' and 'edges'"),
+        ("model", {"variables": "X", "edges": []}, "'variables' must be a list of names"),
+        ("model", {"variables": ["X"], "edges": [], "intercepts": [1]},
+         "'intercepts' must be an object of name: value"),
+        ("cov", [], "covariance file must contain a JSON object"),
+        ("cov", {"variables": ["X"], "matrix": [[1]], "w": 1}, "unknown covariance keys: ['w']"),
+        ("cov", {"variables": ["X"]}, "covariance file requires 'variables' and 'matrix'"),
+        ("cov", {"variables": [1], "matrix": [[1]]}, "'variables' must be a list of names"),
+        ("plan", [1], "plan file must contain a JSON object"),
+        ("plan", {"y": 1}, "unknown plan keys: ['y']"),
+        ("plan", {"a": [1]}, "'a' must be an object of control name: gain"),
+        ("plan", {"b": "best"}, "'b' must be an object of covariate name: gain or \"optimal\""),
+    ])
+    def test_file_envelope_fault_is_named(self, model_file, tmp_path, capsys, kind, payload,
+                                          message):
+        path = write_json(tmp_path / f"{kind}.json", payload)
+        argv = {
+            "model": ["validate", "--model", path],
+            "cov": ["estimate", "--cov", path, *self.PART, "--instruments", "Z3"],
+            "plan": ["plan-eval", "--model", model_file, *self.PART, "--plan", path],
+        }[kind]
+        assert run_command(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["plan-eval", "simulate"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--x", "inf"], "set point must be finite"),
+        (["--a", "nan"], "plan gains must be finite"),
+        (["--W", "Z1", "--b", "inf"], "plan gains must be finite"),
+    ], ids=["x", "a", "b"])
+    def test_non_finite_plan_flag_exits_two(self, model_file, tmp_path, capsys, command, flags,
+                                            message):
+        out = ["--out", str(tmp_path / "post.csv")] if command == "simulate" else []
+        code = run_command([command, "--model", model_file, *self.PART, *flags, *out])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
         assert not (tmp_path / "post.csv").exists()
 
     COV_WITH_N = ('{"variables": ["X", "Y", "Z"], "n": %s,'

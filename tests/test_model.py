@@ -31,6 +31,24 @@ class TestPathDiagram:
         d = sc.PathDiagram(("A", "B"), (("A", "B"), ("B", "A")))
         assert d.descendants("A") == {"B"}
 
+    def test_descendants_exclude_self_on_a_self_loop(self):
+        d = sc.PathDiagram(("A", "B", "C"), (("A", "A"), ("A", "B"), ("C", "C")))
+        assert d.descendants("A") == {"B"}
+        assert d.descendants("C") == set()
+
+    def test_parents_keep_edge_order_and_repeats(self):
+        d = sc.PathDiagram(("A", "B", "C"), (("B", "C"), ("A", "C"), ("C", "A"), ("B", "C")))
+        assert d.parents("C") == ("B", "A", "B")
+        assert d.parents("B") == ()
+        assert d.parents("Q") == ()
+
+    def test_has_edge_reads_direction_and_refuses_unknown_names(self):
+        d = sc.PathDiagram(("A", "B"), (("A", "B"),))
+        assert d.has_edge("A", "B")
+        assert not d.has_edge("B", "A")
+        assert not d.has_edge("A", "Q")
+        assert not d.has_edge("Q", "B")
+
 
 class TestValidateModel:
     def test_valid_model_has_empty_report(self, two_cycle_model):
