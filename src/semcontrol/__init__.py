@@ -81,67 +81,3 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ControlPlan",
-    "CovariateComparison",
-    "Dataset",
-    "EffectSummary",
-    "IVEstimate",
-    "MomentSummary",
-    "OptimalGains",
-    "PathDiagram",
-    "PlanEffect",
-    "PlanSpec",
-    "PlanStability",
-    "RegressionBlocks",
-    "RNG_ALGORITHM",
-    "SimulationConfig",
-    "StabilityReport",
-    "StructuralModel",
-    "VertexPartition",
-    "apply_plan",
-    "check_stability",
-    "covariate_compare",
-    "draw_equilibrium",
-    "implied_moments",
-    "iterate_equilibrium",
-    "iv_estimate",
-    "iverson_model",
-    "iverson_moments",
-    "load_covariance",
-    "load_model",
-    "load_plan",
-    "model_hash",
-    "optimal_b",
-    "partition_vertices",
-    "plan_is_stable",
-    "plan_mean",
-    "plan_variance",
-    "regression_blocks",
-    "resolve_plan",
-    "sample_moments",
-    "save_model",
-    "save_run",
-    "simulate_plan",
-    "spectral_radius",
-    "total_effects",
-    "tsls_estimate",
-    "validate_model",
-    # errors
-    "SemControlError",
-    "ControlSetMismatch",
-    "InputFormatError",
-    "MissingFixture",
-    "NonFiniteEntry",
-    "ResponseNotDescendant",
-    "SingularBlock",
-    "SingularInstrumentBlock",
-    "SingularSystem",
-    "TooFewRows",
-    "UnstableModel",
-    "UnstableModelWarning",
-    "UnstablePlan",
-    "WeakInstrument",
-    "ZeroTotalEffect",
-]

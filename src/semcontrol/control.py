@@ -44,6 +44,7 @@ from .model import (
     PathDiagram,
     StructuralModel,
     VertexPartition,
+    _check_object,
     _number,
     _read_json,
     is_stable,
@@ -371,11 +372,7 @@ class PlanSpec:
 
 
 def plan_from_dict(payload: dict) -> PlanSpec:
-    if not isinstance(payload, dict):
-        raise InputFormatError("plan file must contain a JSON object")
-    unknown = set(payload) - _PLAN_KEYS
-    if unknown:
-        raise InputFormatError(f"unknown plan keys: {sorted(unknown)}")
+    _check_object(payload, "plan", _PLAN_KEYS)
     set_point = _number(payload.get("x", 0.0), "'x'")
     noise = _number(payload.get("sigma_eps_star", 0.0), "'sigma_eps_star'")
     feedback = payload.get("a", {})

@@ -30,7 +30,7 @@ from .errors import (
     TooFewRows,
     WeakInstrument,
 )
-from .model import PSD_TOL, StructuralModel, _read_json, inverse, model_from_dict
+from .model import PSD_TOL, StructuralModel, _check_object, _read_json, inverse, model_from_dict
 
 #: Relative correlation scale below which an instrument is called weak.
 WEAK_INSTRUMENT_TOL = 1e-8
@@ -263,16 +263,8 @@ def _array(value, field: str) -> np.ndarray:
 
 
 def covariance_from_dict(payload: dict) -> MomentSummary:
-    if not isinstance(payload, dict):
-        raise InputFormatError("covariance file must contain a JSON object")
-    unknown = set(payload) - _COV_KEYS
-    if unknown:
-        raise InputFormatError(f"unknown covariance keys: {sorted(unknown)}")
-    if "variables" not in payload or "matrix" not in payload:
-        raise InputFormatError("covariance file requires 'variables' and 'matrix'")
+    _check_object(payload, "covariance", _COV_KEYS, ("variables", "matrix"))
     variables = payload["variables"]
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputFormatError("'variables' must be a list of names")
     matrix = _array(payload["matrix"], "'matrix'")
     means = payload.get("means")
     mean = np.zeros(len(variables)) if means is None else _array(means, "'means'")

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -92,10 +92,6 @@ class PathDiagram:
         n = self.n_vertices
         return np.bincount(targets * n + sources, minlength=n * n).reshape(n, n)
 
-    @cached_property
-    def _edge_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.edges)
-
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -107,27 +103,26 @@ class PathDiagram:
             raise ValueError(f"unknown vertex {name!r}") from None
 
     def has_edge(self, source: str, target: str) -> bool:
-        return (source, target) in self._edge_set
+        try:
+            return bool(self._multiplicity[self._index[target], self._index[source]])
+        except KeyError:
+            return False
 
     def parents(self, name: str) -> tuple[str, ...]:
-        return tuple(s for s, t in self.edges if t == name)
+        sources, targets = self._endpoints
+        return tuple(self.vertices[k] for k in sources[targets == self._index.get(name, -1)])
 
     def descendants(self, name: str) -> set[str]:
         """Vertices reachable from ``name`` by directed paths, excluding ``name``."""
-        self.index(name)
-        children: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for s, t in self.edges:
-            children[s].append(t)
-        seen: set[str] = set()
-        queue = deque(children[name])
-        while queue:
-            v = queue.popleft()
-            if v in seen:
-                continue
-            seen.add(v)
-            queue.extend(children[v])
-        seen.discard(name)
-        return seen
+        start = self.index(name)
+        edge = self._multiplicity > 0  # [child, parent]
+        seen = np.zeros(self.n_vertices, dtype=bool)
+        frontier = edge[:, start]
+        while frontier.any():
+            seen |= frontier
+            frontier = edge[:, frontier].any(axis=1) & ~seen
+        seen[start] = False
+        return set(compress(self.vertices, seen))
 
 
 @dataclass(frozen=True)
@@ -532,16 +527,8 @@ def _edge_columns(entries: list) -> tuple[list, list, list | np.ndarray]:
 
 def model_from_dict(payload: dict) -> StructuralModel:
     """Parse the JSON model schema; unknown keys are rejected."""
-    if not isinstance(payload, dict):
-        raise InputFormatError("model file must contain a JSON object")
-    unknown = set(payload) - _MODEL_KEYS
-    if unknown:
-        raise InputFormatError(f"unknown model keys: {sorted(unknown)}")
-    if "variables" not in payload or "edges" not in payload:
-        raise InputFormatError("model file requires 'variables' and 'edges'")
+    _check_object(payload, "model", _MODEL_KEYS, ("variables", "edges"))
     variables = payload["variables"]
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputFormatError("'variables' must be a list of names")
 
     if not isinstance(payload["edges"], list):
         raise InputFormatError("'edges' must be a list of edge objects")
@@ -570,16 +557,12 @@ def model_from_dict(payload: dict) -> StructuralModel:
 
 
 def model_to_dict(model: StructuralModel) -> dict:
+    sources, targets = model.diagram._endpoints
+    coeffs = model.coefficients[targets, sources].tolist()
     return {
         "variables": list(model.variables),
-        "edges": [
-            {
-                "from": s,
-                "to": t,
-                "coeff": float(model.coefficients[model.index(t), model.index(s)]),
-            }
-            for s, t in model.diagram.edges
-        ],
+        "edges": [{"from": s, "to": t, "coeff": c}
+                  for (s, t), c in zip(model.diagram.edges, coeffs)],
         "intercepts": {
             v: float(model.intercepts[i]) for i, v in enumerate(model.variables)
         },
@@ -595,6 +578,21 @@ def _read_json(path: str | Path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _check_object(payload, kind: str, keys: set[str], required: tuple[str, ...] = ()) -> None:
+    """Refuse a ``kind`` file's JSON value unless it is an object with no key outside
+    ``keys``, every key in ``required``, and any ``'variables'`` as a list of names."""
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{kind} file must contain a JSON object")
+    unknown = set(payload) - keys
+    if unknown:
+        raise InputFormatError(f"unknown {kind} keys: {sorted(unknown)}")
+    if not payload.keys() >= set(required):
+        raise InputFormatError(f"{kind} file requires {' and '.join(map(repr, required))}")
+    variables = payload.get("variables", [])
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise InputFormatError("'variables' must be a list of names")
 
 
 def load_model(path: str | Path) -> StructuralModel:
