@@ -371,9 +371,17 @@ class PlanSpec:
     noise_variance: float
 
 
+def _finite(value, field: str) -> float:
+    """:func:`_number` for a plan-file field that must also be finite."""
+    number = _number(value, field)
+    if not np.isfinite(number):
+        raise InputFormatError(f"{field} must be finite, got {number!r}")
+    return number
+
+
 def plan_from_dict(payload: dict) -> PlanSpec:
     _check_object(payload, "plan", _PLAN_KEYS)
-    set_point = _number(payload.get("x", 0.0), "'x'")
+    set_point = _finite(payload.get("x", 0.0), "'x'")
     noise = _number(payload.get("sigma_eps_star", 0.0), "'sigma_eps_star'")
     feedback = payload.get("a", {})
     if not isinstance(feedback, dict):
@@ -385,9 +393,9 @@ def plan_from_dict(payload: dict) -> PlanSpec:
         raise InputFormatError(f"'sigma_eps_star' must be finite and nonnegative, got {noise!r}")
     return PlanSpec(
         set_point=set_point,
-        feedback={k: _number(v, f"'a' gain for {k!r}") for k, v in feedback.items()},
+        feedback={k: _finite(v, f"'a' gain for {k!r}") for k, v in feedback.items()},
         covariate_gains=gains if gains == "optimal"
-        else {k: _number(v, f"'b' gain for {k!r}") for k, v in gains.items()},
+        else {k: _finite(v, f"'b' gain for {k!r}") for k, v in gains.items()},
         noise_variance=noise,
     )
 

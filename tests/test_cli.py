@@ -815,6 +815,24 @@ class TestMalformedInput:
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
         assert not (tmp_path / "post.csv").exists()
 
+    @pytest.mark.parametrize("command", ["plan-eval", "simulate"])
+    @pytest.mark.parametrize("text, message", [
+        ('{"x": NaN}', "'x' must be finite, got nan"),
+        ('{"x": 1e400}', "'x' must be finite, got inf"),
+        ('{"a": {"Y": Infinity}}', "'a' gain for 'Y' must be finite, got inf"),
+        ('{"b": {"Z1": -Infinity}}', "'b' gain for 'Z1' must be finite, got -inf"),
+        ('{"b": {"Z1": NaN}}', "'b' gain for 'Z1' must be finite, got nan"),
+    ], ids=["x-nan", "x-overflow", "a-inf", "b-minus-inf", "b-nan"])
+    def test_non_finite_plan_file_value_names_its_field(self, model_file, tmp_path, capsys,
+                                                        command, text, message):
+        path = tmp_path / "plan.json"
+        path.write_text(text)
+        out = ["--out", str(tmp_path / "post.csv")] if command == "simulate" else []
+        code = run_command([command, "--model", model_file, *self.PART, "--W", "Z1",
+                            "--plan", str(path), *out])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "post.csv").exists()
+
     COV_WITH_N = ('{"variables": ["X", "Y", "Z"], "n": %s,'
                   ' "matrix": [[1, 0.5, 0.5], [0.5, 1, 0.3], [0.5, 0.3, 1]]}')
 

@@ -1,6 +1,8 @@
 """Model representation, validation, partitioning, and stability checks."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -395,6 +397,23 @@ class TestInverse:
         imported = [alias.name for node in ast.walk(cli)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
         assert [name for name in imported if name.split(".")[-1].startswith("_")] == []
+
+
+def test_every_dependency_is_imported():
+    """The package's third-party import roots, imports inside functions included, are
+    exactly the ``dependencies`` that ``pyproject.toml`` declares."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    declared = {re.match(r"[\w.-]+", spec).group().lower().replace("-", "_")
+                for spec in project["project"]["dependencies"]}
+    roots = set()
+    for path in Path(sc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots.add(node.module.split(".")[0])
+    assert roots - set(sys.stdlib_module_names) - {"semcontrol"} == declared
 
 
 class TestConvergenceProperties:
