@@ -46,6 +46,7 @@ from .errors import (
     UnstableModelWarning,
     UnstablePlan,
     WeakInstrument,
+    WorkerFailed,
     ZeroTotalEffect,
 )
 from .estimation import (

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .estimation import (
     tsls_estimate,
 )
 from .model import (
+    _write_whole,
     check_stability,
     is_stable,
     load_model,
@@ -100,8 +101,12 @@ def _text_items(mapping: dict, indent: int) -> list[str]:
     return lines
 
 
-def _names(raw: str | None) -> tuple[str, ...]:
-    return tuple(name.strip() for name in (raw or "").split(",") if name.strip())
+def _names(raw: str | None, flag: str) -> tuple[str, ...]:
+    names = tuple(name.strip() for name in (raw or "").split(",") if name.strip())
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise UsageError(f"{flag} names {repeated[0]} more than once")
+    return names
 
 
 def _floats(raw: str, flag: str) -> np.ndarray:
@@ -167,7 +172,7 @@ class _Analysis:
         args = self.args
         _require(args, "--treatment", "--response")
         return partition_vertices(self.model, args.treatment, args.response,
-                                  _names(args.F) or None, _names(args.W) or None)
+                                  _names(args.F, "--F") or None, _names(args.W, "--W") or None)
 
     @cached_property
     def gated(self):
@@ -351,7 +356,7 @@ def _cmd_estimate(args):
     if not _moment_source(args):
         raise UsageError("estimate requires --cov or --data")
     _require(args, "--treatment", "--response", "--instruments")
-    instruments = _names(args.instruments)
+    instruments = _names(args.instruments, "--instruments")
     if not instruments:
         raise UsageError("--instruments expects at least one variable name")
     moments = _read_moments(args, (args.treatment, args.response, *instruments))
@@ -567,21 +572,28 @@ def run_command(argv) -> int:
         bad = _non_finite(report.results)
         if bad:
             raise ValueError(f"result {bad!r} is not finite")
+        if args.command != "simulate" and args.out:
+            with _write_whole(args.out) as fh:
+                fh.write(report.to_json() + "\n")
+        else:
+            _print(report.to_json() if args.format == "json" else report.to_text())
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (SemControlError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    out = getattr(args, "out", None)
-    if args.command != "simulate" and out:
-        Path(out).write_text(report.to_json() + "\n")
-    elif args.format == "json":
-        print(report.to_json())
-    else:
-        print(report.to_text())
     return code
+
+
+def _print(text: str) -> None:
+    """Print a report to stdout; a reader that closed the pipe early is an ``OSError``."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError as exc:
+        # stdout now goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OSError(exc.errno, exc.strerror, "<stdout>") from None
 
 
 def main() -> None:

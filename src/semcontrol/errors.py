@@ -57,5 +57,9 @@ class InputFormatError(SemControlError):
     """A model, plan, covariance, or data file violates its schema."""
 
 
+class WorkerFailed(SemControlError):
+    """A worker process that formats or parses a large CSV died or raised."""
+
+
 class UnstableModelWarning(UserWarning):
     """Sampling from a model whose equilibrium is not reachable by iteration."""

@@ -13,12 +13,17 @@ assertion; only the numeric conditions (relevance, rank) are checked here.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
+import os
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,8 +34,17 @@ from .errors import (
     SingularInstrumentBlock,
     TooFewRows,
     WeakInstrument,
+    WorkerFailed,
 )
-from .model import PSD_TOL, StructuralModel, _check_object, _read_json, inverse, model_from_dict
+from .model import (
+    PSD_TOL,
+    StructuralModel,
+    _check_object,
+    _read_json,
+    _write_whole,
+    inverse,
+    model_from_dict,
+)
 
 #: Relative correlation scale below which an instrument is called weak.
 WEAK_INSTRUMENT_TOL = 1e-8
@@ -72,16 +86,20 @@ class Dataset:
 
         The rows are formatted a block of about ``_CSV_BLOCK_CELLS`` cells at a
         time by one ``%`` call; ``%r`` of a float is its ``repr``, so the bytes
-        are those of a ``csv.writer`` row of ``repr`` strings.
+        are those of a ``csv.writer`` row of ``repr`` strings.  Several blocks are
+        formatted by forked workers (:func:`_fork_map`) and written in order.  The
+        file is replaced whole or not at all.
         """
-        k = len(self.columns)
-        line = ",".join(["%r"] * k) + "\r\n"
-        step = max(1, _CSV_BLOCK_CELLS // max(k, 1))
-        with open(path, "w", newline="") as fh:
+        line = ",".join(["%r"] * len(self.columns)) + "\r\n"
+        step = max(1, _CSV_BLOCK_CELLS // max(len(self.columns), 1))
+        starts = range(0, self.n, step)
+
+        def block(start: int) -> str:
+            return _csv_lines(line, self.rows[start:start + step])
+
+        with _write_whole(path, newline="") as fh:
             csv.writer(fh).writerow(self.columns)
-            for start in range(0, self.n, step):
-                block = self.rows[start:start + step]
-                fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+            fh.writelines(_fork_map(block, starts) or map(block, starts))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -89,22 +107,10 @@ class Dataset:
 
         Cells may be quoted and padded, blank lines are skipped, and nothing
         is a comment.  A malformed file raises :class:`InputFormatError`
-        naming its first bad line.
+        naming its first bad line.  A file of several segments is parsed by
+        forked workers, one segment each (:func:`_read_segments`).
         """
-        with open(path, newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise InputFormatError(f"{path}: empty CSV file") from None
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is reported as "no data rows" below
-                    warnings.filterwarnings(
-                        "ignore", "loadtxt: input contained no data", UserWarning)
-                    rows = np.loadtxt(fh, dtype=float, delimiter=",", comments=None,
-                                      quotechar='"', ndmin=2)
-            except ValueError:
-                rows = None
+        header, rows = _read_segments(path) or _read_whole(path)
         if rows is not None and not rows.size:
             raise InputFormatError(f"{path}: no data rows")
         if rows is None or rows.shape[1] != len(header):
@@ -118,6 +124,134 @@ class Dataset:
 
 #: Cells formatted per ``%`` call in :meth:`Dataset.to_csv`; bounds its memory.
 _CSV_BLOCK_CELLS = 2**18
+
+#: Bytes of a CSV file that one worker of :meth:`Dataset.from_csv` parses per task.
+_CSV_SEGMENT_BYTES = 2**23
+
+
+def _csv_lines(line: str, block: np.ndarray) -> str:
+    """The rows of ``block`` as CSV text, ``line`` being the ``%r`` template of one row."""
+    return (line * len(block)) % tuple(block.ravel().tolist())
+
+
+def _loadtxt(lines) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a header-only file is reported as "no data rows" by Dataset.from_csv
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=float, delimiter=",", comments=None, quotechar='"',
+                          ndmin=2)
+
+
+def _read_whole(path) -> tuple[list[str], np.ndarray | None]:
+    """A CSV file's header and its rows in one pass, or None for rows that fail to parse."""
+    with open(path, newline="") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            raise InputFormatError(f"{path}: empty CSV file") from None
+        try:
+            return header, _loadtxt(fh)
+        except ValueError:
+            return header, None
+
+
+def _read_segments(path) -> tuple[list[str], np.ndarray] | None:
+    """A CSV file's header and rows, parsed by forked workers, or None unless this gives
+    exactly what :func:`_read_whole` gives.
+
+    The data lines are cut after a ``\\n`` about every ``_CSV_SEGMENT_BYTES``.  None
+    when the file is one segment or :func:`_fork_map` declines, and when the header or
+    a segment holds a quote (a quoted cell may hold a line end) or a non-ASCII byte,
+    or a segment fails to parse: the single pass then reads, or rejects, the file.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        # a bare CR ends a line for csv.reader, but not for the cuts
+        if not head.endswith(b"\n") or not _plain(head) or b"\r" in head[:-2]:
+            return None
+        cuts = [fh.tell()]
+        while True:
+            fh.seek(cuts[-1] + _CSV_SEGMENT_BYTES)
+            if not fh.readline():  # past the end
+                break
+            cuts.append(fh.tell())
+        end = fh.seek(0, os.SEEK_END)
+    if cuts[-1] < end:  # the rest, shorter than a segment
+        cuts.append(end)
+    parts = _fork_map(functools.partial(_parse_segment, path), zip(cuts, cuts[1:]))
+    if parts is None:
+        return None
+    parts = [part for part in parts if part is None or len(part)]  # drop blank segments
+    if not parts or any(part is None for part in parts) or len({p.shape[1] for p in parts}) > 1:
+        return None
+    return next(csv.reader([head.decode()])), np.concatenate(parts)
+
+
+def _plain(data: bytes) -> bool:
+    return data.isascii() and b'"' not in data
+
+
+def _parse_segment(path, span: tuple[int, int]) -> np.ndarray | None:
+    """``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file, or None unless
+    they are plain ASCII without quotes and parse."""
+    start, stop = span
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = fh.read(stop - start)
+    if not _plain(data):
+        return None
+    try:
+        return _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=""))
+    except ValueError:
+        return None
+
+
+def _fork_map(work, items) -> Iterator | None:
+    """``map(work, items)`` computed by forked worker processes, or None where they
+    cannot help: fewer than two items or usable CPUs, or no ``fork``.
+
+    Each worker inherits ``work`` and the data that it reads through the fork, so only
+    the items and the results are pickled.  There are ``min(usable CPUs, items)``
+    workers, and at most two items per worker are in flight, which bounds the memory
+    that the results hold.  A worker that dies or raises ends in :class:`WorkerFailed`.
+    """
+    items = list(items)
+    usable = getattr(os, "sched_getaffinity", None)
+    workers = min(len(usable(0)), len(items)) if usable and hasattr(os, "fork") else 1
+    return _in_workers(work, items, workers) if workers > 1 else None
+
+
+def _in_workers(work, items: list, workers: int):
+    # imported here so that only the parallel path loads multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (work,))
+    todo = iter(items)
+    try:
+        pending = deque(pool.submit(_call, item) for item in islice(todo, 2 * workers))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(_call, item) for item in islice(todo, 1))
+            yield result
+    except Exception as exc:  # BrokenProcessPool for a worker that died, or what one raised
+        raise WorkerFailed(f"a CSV worker process failed: {type(exc).__name__}: {exc}") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+#: The function that a forked worker applies to each item; only :func:`_adopt`, which
+#: runs in the worker, sets it.
+_work = None
+
+
+def _adopt(work) -> None:
+    global _work
+    _work = work
+
+
+def _call(item):
+    return _work(item)
 
 
 def _csv_fault(path, width: int) -> str:

@@ -14,9 +14,12 @@ the model has a unique steady-state mean and covariance.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress
@@ -580,6 +583,37 @@ def _read_json(path: str | Path):
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
 
 
+@contextmanager
+def _write_whole(path: str | Path, newline: str | None = None):
+    """A text handle whose content replaces ``path`` once the block ends without an error.
+
+    The text goes to a new file beside ``path`` that is then renamed over it, so
+    ``path`` ends up whole or as it was.  An ``OSError`` names ``path``.  A terminal or
+    a pipe, which cannot be replaced, is written in place.
+    """
+    path = Path(path)
+    if path.is_char_device() or path.is_fifo():
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+        return
+    tmp = str(path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp"))
+    try:
+        if path.is_dir():  # refused before the block's work rather than at the rename
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fh = open(tmp, "x", newline=newline)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as exc:
+        os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):  # not a nested file's
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        raise
+
+
 def _check_object(payload, kind: str, keys: set[str], required: tuple[str, ...] = ()) -> None:
     """Refuse a ``kind`` file's JSON value unless it is an object with no key outside
     ``keys``, every key in ``required``, and any ``'variables'`` as a list of names."""
@@ -600,7 +634,8 @@ def load_model(path: str | Path) -> StructuralModel:
 
 
 def save_model(model: StructuralModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    with _write_whole(path) as fh:
+        fh.write(json.dumps(model_to_dict(model), indent=2) + "\n")
 
 
 def model_hash(model: StructuralModel) -> str:

@@ -25,7 +25,7 @@ from .control import ControlPlan, apply_plan
 from .effects import _equilibrium_map
 from .errors import UnstableModelWarning, UnstablePlan
 from .estimation import Dataset
-from .model import StructuralModel, VertexPartition, is_stable, spectral_radius
+from .model import StructuralModel, VertexPartition, _write_whole, is_stable, spectral_radius
 
 RNG_ALGORITHM = "philox4x64-counter"
 
@@ -176,19 +176,12 @@ def save_run(
     ``digest`` is the :func:`~semcontrol.model.model_hash` of the model drawn from.
     """
     path = Path(path)
-    dataset.to_csv(path)
     sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(
-        json.dumps(
-            {
-                "seed": config.seed,
-                "n": dataset.n,
-                "model_hash": digest,
-                "rng": RNG_ALGORITHM,
-                "law": config.law,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    meta = {"seed": config.seed, "n": dataset.n, "model_hash": digest,
+            "rng": RNG_ALGORITHM, "law": config.law}
+    # the CSV is replaced inside the sidecar's block, so a sidecar that cannot be
+    # written leaves the CSV as it was, and a CSV that cannot be written the sidecar
+    with _write_whole(sidecar) as fh:
+        fh.write(json.dumps(meta, indent=2) + "\n")
+        dataset.to_csv(path)
     return sidecar

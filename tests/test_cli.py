@@ -1,7 +1,12 @@
 """CLI surface: grammar, exit codes, report formats, pipeline consistency."""
 
+import errno
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +113,14 @@ class TestExitCodes:
          "plan-eval requires --treatment"),
         (["estimate", "--cov", "{cov}", "--treatment", "X", "--response", "Y",
           "--instruments", ","], "--instruments expects at least one variable name"),
-    ], ids=["unparsable-gain", "missing-treatment", "no-instrument"])
+        (["plan-eval", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--W", "Z1,Z1", "--b", "1,1"], "--W names Z1 more than once"),
+        (["plan-eval", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--F", "Y, Y", "--a", "1,1"], "--F names Y more than once"),
+        (["estimate", "--cov", "{cov}", "--treatment", "X", "--response", "Y",
+          "--instruments", "Z1,Z3,Z3"], "--instruments names Z3 more than once"),
+    ], ids=["unparsable-gain", "missing-treatment", "no-instrument", "repeated-covariate",
+            "repeated-control", "repeated-instrument"])
     def test_usage_error_is_named(self, model_file, cov_file, capsys, argv, message):
         code = run_command([arg.format(model=model_file, cov=cov_file) for arg in argv])
         assert (code, capsys.readouterr().err) == (1, f"usage error: {message}\n")
@@ -690,6 +702,65 @@ class TestReports:
         assert code == 0
         payload = json.loads(report_path.read_text())
         assert payload["command"] == "stability"
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_report_exits_two_naming_it(self, model_file, tmp_path, capsys, target):
+        out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+        code = run_command(["effects", "--model", model_file, "--treatment", "X",
+                            "--response", "Y", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n")
+        assert err.count("\n") == 1
+
+    def test_report_replaces_a_file_whole(self, model_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        out.write_text("old\n" * 1000)
+        assert run_command(["stability", "--model", model_file, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["command"] == "stability"
+        fresh = tmp_path / "fresh"
+        fresh.write_text("")  # the mode that a new file gets
+        assert out.stat().st_mode == fresh.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "model.json",
+                                                              "report.json"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_report_into_a_named_pipe_is_written_in_place(self, model_file, tmp_path, capsys):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so that the writer's open returns
+        try:
+            assert run_command(["stability", "--model", model_file, "--out", str(fifo)]) == 0
+            assert json.loads(os.read(reader, 1 << 16))["command"] == "stability"
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
+
+    @pytest.mark.parametrize("blocked", ["draws.csv", "draws.csv.meta.json"])
+    def test_simulate_writes_both_files_or_neither(self, model_file, tmp_path, capsys, blocked):
+        out = tmp_path / "draws.csv"
+        other = ({out, tmp_path / "draws.csv.meta.json"} - {tmp_path / blocked}).pop()
+        (tmp_path / blocked).mkdir()
+        other.write_text("old\n")
+        code = run_command(["simulate", "--model", model_file, "--n", "50", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{tmp_path / blocked}'\n")
+        assert other.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["model.json", "draws.csv", "draws.csv.meta.json"])
+
+    def test_closed_stdout_pipe_exits_two_without_a_traceback(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).parent.parent)}
+        with subprocess.Popen(
+            [sys.executable, "-c", "from semcontrol.cli import main; main()",
+             "reproduce-iverson"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+        ) as proc:
+            proc.stdout.close()  # before the report: the command takes longer to start
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 2
+        assert err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}: '<stdout>'\n"
 
     def test_identical_invocations_identical_reports(self, model_file, capsys):
         argv = ["effects", "--model", model_file, "--treatment", "X", "--response", "Y",

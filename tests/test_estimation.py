@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 import zipfile
@@ -246,6 +247,179 @@ class TestMalformedCsv:
         code = run_command(["estimate", "--data", str(path), "--treatment", "X",
                             "--response", "Y", "--instruments", "Z"])
         return code, capsys.readouterr().err
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two usable CPUs on any machine; the worker counts of the pools that start."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the worker pool forks")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    in_workers = estimation._in_workers
+
+    def spy(work, items, workers):
+        started.append(workers)
+        return in_workers(work, items, workers)
+
+    monkeypatch.setattr(estimation, "_in_workers", spy)
+    return started
+
+
+def _outcome(path):
+    """What Dataset.from_csv makes of a file: its columns and row bits, or its error."""
+    try:
+        data = sc.Dataset.from_csv(path)
+    except (sc.InputFormatError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return data.columns, data.rows.tobytes()
+
+
+def _single_pass_outcome(path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(estimation, "_fork_map", lambda work, items: None)
+        return _outcome(path)
+
+
+_BODY = [f"{i},{i + 0.5},{-i}\r\n" for i in range(40)]
+
+
+def _with_row(row: str, header: str = _HEADER) -> bytes:
+    """A file of about ten 64-byte segments whose 22nd line is ``row``."""
+    return (header + "".join(_BODY[:20]) + row + "".join(_BODY[20:])).encode()
+
+
+class TestParallelCsv:
+    """A file of several blocks or segments is formatted or parsed by forked workers,
+    with the bytes and bits of the single pass."""
+
+    def test_pool_writer_matches_row_writer(self, tmp_path, pools, monkeypatch):
+        monkeypatch.setattr(estimation, "_CSV_BLOCK_CELLS", 40)
+        values = np.random.default_rng(3).standard_normal((301, 7))
+        values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+        _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
+        assert pools == [2]  # 61 blocks on two workers; the file is one segment
+
+    @pytest.mark.parametrize("edit, started", [
+        (lambda text: text, True),
+        (lambda text: text.replace("\r\n", "\n"), True),
+        (lambda text: text.replace("\r\n", "\r\n\r\n"), True),
+        (lambda text: re.sub(r"(\d),", r"\1 , ", text), True),
+        (lambda text: text[:-2], True),
+        (lambda text: text.replace("\r\n", "\r"), False),  # no LF: one segment
+    ], ids=["crlf", "lf", "blank-lines", "padded", "no-final-newline", "bare-cr"])
+    def test_segments_parse_to_the_single_pass_bits(self, tmp_path, pools, monkeypatch, edit,
+                                                    started):
+        values = np.random.default_rng(4).standard_normal((200, 4))
+        values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
+        columns = ("A", "B", "C", "D")
+        path = tmp_path / "obs.csv"
+        sc.Dataset(columns, values).to_csv(path)
+        path.write_bytes(edit(path.read_bytes().decode()).encode())
+        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 256)
+        assert _outcome(path) == (columns, values.tobytes())
+        assert pools == ([2] if started else [])
+        assert _single_pass_outcome(path, monkeypatch) == (columns, values.tobytes())
+
+    @pytest.mark.parametrize("cell, fault", [
+        ("abc", "non-numeric or missing cell"),
+        ("1_000", "non-numeric or missing cell"),
+        ("nan", "non-finite cell"),
+        ("1e400", "non-finite cell"),
+        ("2,3", "ragged row"),
+    ])
+    def test_bad_cell_in_the_last_segment_names_its_line(self, tmp_path, capsys, pools,
+                                                         monkeypatch, cell, fault):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(_with_row("", _HEADER) + f"1,{cell},3\r\n".encode())
+        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 64)
+        message = f"{path}:42: {fault}"
+        assert _outcome(path) == ("InputFormatError", message)
+        assert pools == [2]
+        assert TestMalformedCsv._estimate(path, capsys) == (2, f"error: {message}\n")
+
+    def test_segments_of_another_width_name_the_first_ragged_row(self, tmp_path, pools,
+                                                                  monkeypatch):
+        # 16-byte rows: the 64-byte segments hold 5 rows each, and the width changes
+        # between two segments, so every segment parses on its own
+        path = tmp_path / "obs.csv"
+        path.write_bytes((_HEADER + "100,200,300000\r\n" * 20
+                          + "1,20,300,40000\r\n" * 20).encode())
+        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 64)
+        assert _outcome(path) == ("InputFormatError", f"{path}:22: ragged row")
+        assert pools == [2]
+
+    @pytest.mark.parametrize("text, started", [
+        (_with_row('"1.5","2",3\r\n'), True),
+        (_with_row('1,"' + "\n" * 100 + '2",3\r\n'), True),
+        (_with_row('1,"1' + "\n" * 100 + '2",3\r\n'), True),
+        (_with_row("\u0661,2,3\r\n"), True),
+        (_with_row("1,\u00a02,3\r\n"), True),
+        (_with_row("1,2,3\r\n").replace(b"2,3\r\n", b"2\xe9,3\r\n", 1), True),
+        (_with_row("1,2,3\r\n", '"X","Y","Z"\r\n'), False),
+        (_with_row("1,2,3\r\n", '"X\nA",Y,Z\r\n'), False),
+        (_with_row("1,2,3\r\n", "X,Y,Z\u00e9\r\n"), False),
+        (_with_row("1,2,3\r\n", "X,Y,Z\r"), False),
+    ], ids=["quoted-cells", "quoted-line-ends-across-cuts", "quoted-text-across-cuts",
+            "non-ascii-digit", "no-break-space", "latin-1-byte", "quoted-header",
+            "quoted-line-end-in-header", "non-ascii-header", "bare-cr-after-header"])
+    def test_quotes_and_non_ascii_give_the_single_pass_result(self, tmp_path, pools,
+                                                             monkeypatch, text, started):
+        path = tmp_path / "obs.csv"
+        path.write_bytes(text)
+        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 64)
+        parallel = _outcome(path)
+        assert pools == ([2] if started else [])
+        assert parallel == _single_pass_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize("machine", ["one-cpu", "no-fork"])
+    def test_serial_where_workers_cannot_help(self, tmp_path, pools, monkeypatch, machine):
+        if machine == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        else:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(estimation, "_CSV_BLOCK_CELLS", 40)
+        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 256)
+        values = np.random.default_rng(5).standard_normal((301, 7))
+        _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
+        assert pools == []
+
+    @pytest.mark.parametrize("command, patch, failure", [
+        ("simulate", "_csv_lines = lambda line, block: os._exit(3)", "BrokenProcessPool: "),
+        ("simulate", "_csv_lines = lambda line, block: 1 / 0",
+         "ZeroDivisionError: division by zero"),
+        ("estimate", "_parse_segment = lambda path, span: os._exit(3)", "BrokenProcessPool: "),
+    ], ids=["writer-dies", "writer-raises", "reader-dies"])
+    def test_failed_worker_exits_two_and_writes_nothing(self, tmp_path, command, patch,
+                                                       failure):
+        if not hasattr(os, "fork"):
+            pytest.skip("the worker pool forks")
+        model, data, out = tmp_path / "model.json", tmp_path / "obs.csv", tmp_path / "out.csv"
+        sc.save_model(sc.iverson_model(), model)
+        data.write_bytes(_with_row("1,2,3\r\n"))
+        out.write_text("old\n")
+        argv = (["simulate", "--model", str(model), "--n", "300", "--out", str(out)]
+                if command == "simulate" else
+                ["estimate", "--data", str(data), "--treatment", "X", "--response", "Y",
+                 "--instruments", "Z"])
+        script = (
+            "import os, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from semcontrol import cli, estimation\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "estimation._CSV_BLOCK_CELLS = 40\n"
+            "estimation._CSV_SEGMENT_BYTES = 64\n"
+            f"estimation.{patch}\n"
+            "sys.exit(cli.run_command(sys.argv[2:]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(Path(sc.__file__).parent.parent), *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"error: a CSV worker process failed: {failure}")
+        assert result.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "obs.csv", "out.csv"]
+        assert out.read_text() == "old\n"
 
 
 class TestIVEstimate:

@@ -261,6 +261,39 @@ class TestSeededBits:
         assert [[float(v).hex() for v in row] for row in data.rows[:2]] == self.GOLDEN[law]
 
 
+def test_small_commands_never_load_the_worker_pool(tmp_path):
+    """Start-up and a CSV of one block and one segment leave multiprocessing unloaded.
+
+    The draws are uniform because ``scipy.special``, which Gaussian draws import,
+    loads ``concurrent.futures`` itself."""
+    model = tmp_path / "model.json"
+    sc.save_model(sc.iverson_model(), model)
+    script = (
+        "import os, sys; sys.path.insert(0, sys.argv[1])\n"
+        "import semcontrol.cli as cli\n"
+        "from semcontrol import estimation\n"
+        "def pool(): return {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not pool(), 'import'\n"
+        "simulate = ['simulate', '--model', sys.argv[2], '--n', '2000', '--law', 'uniform',\n"
+        "            '--out', sys.argv[3]]\n"
+        "assert cli.run_command(simulate) == 0\n"
+        "assert cli.run_command(['estimate', '--data', sys.argv[3], '--treatment', 'X',\n"
+        "                        '--response', 'Y', '--instruments', 'Z3']) == 0\n"
+        "assert not pool(), 'simulate and estimate'\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "estimation._CSV_BLOCK_CELLS = 1000\n"
+        "assert cli.run_command(simulate) == 0\n"
+        "assert pool(), 'a CSV of several blocks'\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(Path(sc.__file__).parent.parent), str(model),
+         str(tmp_path / "draws.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_only_gaussian_draws_import_scipy(tmp_path):
     """Start-up and the commands that draw nothing leave scipy unloaded."""
     model = tmp_path / "model.json"
