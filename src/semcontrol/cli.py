@@ -176,7 +176,10 @@ class _Analysis:
 
     @cached_property
     def gated(self):
-        """The partition, once both of its block spectral radii are below one."""
+        """The partition, once both of its block spectral radii are below one: proved by
+        the model's certificate, or else found by the eigen-solve that the message prints."""
+        if self.model.certified_stable:
+            return self.partition
         report = check_stability(self.model, self.partition)
         if not report.stable:
             raise UnstableModel(

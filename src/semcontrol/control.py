@@ -163,31 +163,25 @@ def apply_plan(
     disturbance variance becomes the plan's noise variance.
     """
     _check_plan_shapes(partition, plan)
-    x = partition.treatment
-    xi = model.index(x)
+    xi = model.index(partition.treatment)
+    parents = np.array([model.index(v) for v in partition.controls + partition.covariates],
+                       dtype=np.int64)
+    gains = np.concatenate([plan.feedback, plan.covariate_gains])
 
     coeff = model.coefficients.copy()
     coeff[xi, :] = 0.0
-    for name, gain in zip(partition.controls, plan.feedback):
-        coeff[xi, model.index(name)] = gain
-    for name, gain in zip(partition.covariates, plan.covariate_gains):
-        coeff[xi, model.index(name)] = gain
+    coeff[xi, parents] = gains
 
     intercepts = model.intercepts.copy()
     intercepts[xi] = plan.set_point
     dvar = model.disturbance_variances.copy()
     dvar[xi] = plan.noise_variance
 
-    kept = tuple(e for e in model.diagram.edges if e[1] != x)
-    added = tuple(
-        (name, x)
-        for name, gain in zip(
-            partition.controls + partition.covariates,
-            np.concatenate([plan.feedback, plan.covariate_gains]),
-        )
-        if gain != 0.0
-    )
-    diagram = PathDiagram(model.diagram.vertices, kept + added)
+    sources, targets = model.diagram.sources, model.diagram.targets
+    kept = targets != xi
+    added = parents[gains != 0.0]
+    diagram = PathDiagram._of(model.variables, np.concatenate([sources[kept], added]),
+                              np.concatenate([targets[kept], np.full_like(added, xi)]))
     return StructuralModel(diagram, coeff, intercepts, dvar)
 
 

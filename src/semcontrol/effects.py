@@ -136,8 +136,7 @@ def total_effects(model: StructuralModel, partition: VertexPartition) -> EffectS
 
 def implied_moments(model: StructuralModel) -> MomentSummary:
     """Equilibrium mean and covariance implied by a stable model."""
-    rho = spectral_radius(model)
-    if not is_stable(rho):
+    if not model.certified_stable and not is_stable(rho := spectral_radius(model)):
         raise UnstableModel(
             f"spectral radius {rho:.6g} is not below 1; equilibrium moments do not exist"
         )

@@ -52,14 +52,17 @@ WEAK_INSTRUMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class Dataset:
-    """A rectangular table of observations, one column per model variable."""
+    """A rectangular table of observations, one column per model variable.  A read-only
+    float ``rows`` array is kept as it is; any other is copied, so the caller's stays its own."""
 
     columns: tuple[str, ...]
     rows: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        rows = np.array(self.rows, dtype=float)
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.flags.writeable:
+            rows = rows.copy()
         if rows.ndim != 2 or rows.shape[1] != len(self.columns):
             raise ValueError(
                 f"rows must be (n, {len(self.columns)}), got {rows.shape}"
@@ -117,9 +120,11 @@ class Dataset:
             raise InputFormatError(_csv_fault(path, len(header)))
         if len(set(header)) != len(header):
             raise InputFormatError(f"{path}: duplicate column names")
-        if not np.isfinite(rows).all():  # nan, inf or an overflowing 1e400
-            raise InputFormatError(_csv_fault(path, len(header)))
-        return cls(tuple(header), rows)
+        rows.setflags(write=False)  # so that the dataset keeps this array and copies nothing
+        try:
+            return cls(tuple(header), rows)
+        except ValueError:  # only a value is left to refuse: nan, inf or an overflowing 1e400
+            raise InputFormatError(_csv_fault(path, len(header))) from None
 
 
 #: Cells formatted per ``%`` call in :meth:`Dataset.to_csv`; bounds its memory.
@@ -144,11 +149,13 @@ def _loadtxt(lines) -> np.ndarray:
 
 def _read_whole(path) -> tuple[list[str], np.ndarray | None]:
     """A CSV file's header and its rows in one pass, or None for rows that fail to parse."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise InputFormatError(f"{path}: empty CSV file") from None
+        if not _utf8(header):
+            raise InputFormatError(f"{path}:1: not valid UTF-8")
         try:
             return header, _loadtxt(fh)
         except ValueError:
@@ -262,12 +269,14 @@ def _csv_fault(path, width: int) -> str:
     cell only if ``loadtxt`` would, so ``1_000`` and non-ASCII digits, which
     Python's ``float`` reads, count as non-numeric.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if not _utf8(row):
+                return f"{path}:{lineno}: not valid UTF-8"
             if len(row) != width:
                 return f"{path}:{lineno}: ragged row"
             if not all(_is_number(cell) for cell in row):
@@ -275,6 +284,11 @@ def _csv_fault(path, width: int) -> str:
             if not np.isfinite([float(cell) for cell in row]).all():
                 return f"{path}:{lineno}: non-finite cell"
     return f"{path}: unreadable CSV"
+
+
+def _utf8(cells: list[str]) -> bool:
+    """False when a cell holds a byte that is not UTF-8, read as a lone surrogate."""
+    return not any("\udc80" <= char <= "\udcff" for char in "".join(cells))
 
 
 def _is_number(cell: str) -> bool:

@@ -44,6 +44,11 @@ CONDITION_LIMIT = 1e12
 #: Eigenvalue floor for calling a symmetric matrix positive semidefinite.
 PSD_TOL = 1e-9
 
+#: Squarings that :attr:`StructuralModel.certified_stable` tries before it gives up.
+_SQUARINGS = 12
+
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def _readonly(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -51,53 +56,90 @@ def _readonly(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class PathDiagram:
     """Directed graph of named variables.
 
     An edge ``(source, target)`` reads "source is a parent of target".
     Cycles are allowed.  Self-loops and duplicate edges can be represented
     so that :func:`validate_model` may report them; they are never valid.
+    The edges are held as ``sources`` and ``targets``, read-only arrays of
+    vertex indices in edge order; :attr:`edges` spells them out as name pairs.
     """
 
-    vertices: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        vertices = tuple(self.vertices)
-        edges = tuple(map(tuple, self.edges))  # no copy for edges that are tuples already
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        known = set(vertices)
-        if len(known) != len(vertices):
-            raise ValueError("duplicate vertex names")
-        if not set(map(len, edges)) <= {2}:
+    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()):
+        pairs = tuple(map(tuple, edges))
+        if not set(map(len, pairs)) <= {2}:
             raise ValueError("each edge must be a (source, target) pair")
-        if not known.issuperset(chain.from_iterable(edges)):
-            s, t = next(e for e in edges if not known.issuperset(e))
-            raise ValueError(f"edge ({s!r}, {t!r}) references an unknown vertex")
+        self._join(vertices, [s for s, _ in pairs], [t for _, t in pairs])
+
+    @classmethod
+    def _of(cls, vertices: Sequence[str], sources, targets) -> "PathDiagram":
+        """The diagram whose k-th edge runs from ``sources[k]`` to ``targets[k]``, given
+        as vertex names or as arrays of vertex indices."""
+        diagram = cls.__new__(cls)
+        diagram._join(vertices, sources, targets)
+        return diagram
+
+    def _join(self, vertices, sources, targets) -> None:
+        self.vertices = tuple(vertices)
+        index = self._index
+        if len(index) != len(self.vertices):
+            raise ValueError("duplicate vertex names")
+        if not isinstance(sources, np.ndarray):
+            try:
+                sources, targets = (np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+                                    for ends in (sources, targets))
+            except KeyError:
+                s, t = next(e for e in zip(sources, targets) if not index.keys() >= set(e))
+                raise ValueError(f"edge ({s!r}, {t!r}) references an unknown vertex") from None
+        self.sources, self.targets = _readonly(sources, np.int64), _readonly(targets, np.int64)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PathDiagram) and self.vertices == other.vertices
+                and np.array_equal(self.sources, other.sources)
+                and np.array_equal(self.targets, other.targets))
+
+    def __repr__(self) -> str:
+        return f"PathDiagram({self.vertices!r}, {self.edges!r})"
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The ``(source, target)`` name pair of every edge, in edge order."""
+        name = self.vertices.__getitem__
+        return tuple(zip(map(name, self.sources.tolist()), map(name, self.targets.tolist())))
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.vertices)}
 
     @cached_property
-    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Source and target vertex index of every edge, in edge order."""
-        ends = np.fromiter(map(self._index.__getitem__, chain.from_iterable(self.edges)),
-                           np.int64, 2 * len(self.edges))
-        return ends[0::2], ends[1::2]
-
-    @cached_property
     def _multiplicity(self) -> np.ndarray:
         """``[target, source]`` count of each edge, as an n x n matrix."""
-        sources, targets = self._endpoints
         n = self.n_vertices
-        return np.bincount(targets * n + sources, minlength=n * n).reshape(n, n)
+        return np.bincount(self.targets * n + self.sources, minlength=n * n).reshape(n, n)
 
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
+
+    def _matrix(self, values) -> np.ndarray:
+        """The n x n matrix with ``values[k]`` at ``[target, source]`` of the k-th edge and
+        zeros elsewhere; a repeated edge keeps its last value."""
+        n = self.n_vertices
+        matrix = np.zeros((n, n))
+        if self._multiplicity.max(initial=0) <= 1:
+            matrix[self.targets, self.sources] = values
+        else:  # a fancy assignment does not promise which repeat wins
+            for i, j, value in zip(self.targets, self.sources, values):
+                matrix[i, j] = value
+        return matrix
+
+    def _vector(self, named: Mapping[str, float] | None, default: float) -> np.ndarray:
+        """The per-vertex values of ``named``, ``default`` for a vertex it does not name."""
+        vector = np.full(self.n_vertices, default)
+        for name, value in (named or {}).items():
+            vector[self.index(name)] = value
+        return vector
 
     def index(self, name: str) -> int:
         try:
@@ -112,8 +154,7 @@ class PathDiagram:
             return False
 
     def parents(self, name: str) -> tuple[str, ...]:
-        sources, targets = self._endpoints
-        return tuple(self.vertices[k] for k in sources[targets == self._index.get(name, -1)])
+        return tuple(self.vertices[k] for k in self.sources[self.targets == self.index(name)])
 
     def descendants(self, name: str) -> set[str]:
         """Vertices reachable from ``name`` by directed paths, excluding ``name``."""
@@ -176,6 +217,31 @@ class StructuralModel:
         """:func:`_scc_radii` of the coefficients, searched once per model."""
         return _scc_radii(self.coefficients)
 
+    @cached_property
+    def certified_stable(self) -> bool:
+        """True when a power-norm bound proves the spectral radius below one, without an
+        eigen-solve; False proves nothing.
+
+        The coefficients are squared up to :data:`_SQUARINGS` times.  ``P_k``, the
+        computed ``A^(2^k)``, is within ``e_k`` of the exact power in the 1-norm, where
+        ``e_0 = 0`` and ``e_k = (2 ||P_(k-1)|| + e_(k-1)) e_(k-1) + gamma_n ||P_(k-1)||^2``
+        bounds the rounding of each product (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., section 3.5).  Once ``||P_k|| + e_k < 1/2``,
+        ``rho(A)^(2^k) <= ||A^(2^k)|| < 1/2``, so ``rho(A) < 2^(-1/4096)``, below
+        ``1 - STABILITY_TOL`` by far more than the rounding of the norms themselves.
+        """
+        n = self.n_variables
+        gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+        power, error = self.coefficients, 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow only fails the proof
+            for squarings in range(_SQUARINGS + 1):
+                norm = float(np.abs(power).sum(axis=0).max(initial=0.0))
+                if norm + error < 0.5:
+                    return True
+                if squarings == _SQUARINGS or not norm + error < np.inf:
+                    return False
+                power, error = power @ power, (2.0 * norm + error) * error + gamma * norm * norm
+
     @classmethod
     def from_edges(
         cls,
@@ -188,54 +254,19 @@ class StructuralModel:
         """Build a model from ``(source, target) -> coefficient`` entries.
 
         Variables default to first-appearance order in the edge list;
-        intercepts default to 0 and disturbance variances to 1.
+        intercepts default to 0 and disturbance variances to 1.  A repeated
+        edge keeps its last coefficient.
         """
         if isinstance(edge_coefficients, Mapping):
-            items = [(s, t, c) for (s, t), c in edge_coefficients.items()]
+            rows = [(s, t, c) for (s, t), c in edge_coefficients.items()]
         else:
-            items = [(s, t, c) for s, t, c in edge_coefficients]
+            rows = [(s, t, c) for s, t, c in edge_coefficients]
+        sources, targets = [s for s, _, _ in rows], [t for _, t, _ in rows]
         if variables is None:
-            seen: dict[str, None] = {}
-            for s, t, _ in items:
-                seen.setdefault(s)
-                seen.setdefault(t)
-            variables = list(seen)
-        return cls._from_columns(
-            variables,
-            [s for s, _, _ in items],
-            [t for _, t, _ in items],
-            [c for _, _, c in items],
-            intercepts or {},
-            disturbance_variances or {},
-        )
-
-    @classmethod
-    def _from_columns(
-        cls,
-        variables: Sequence[str],
-        sources: Sequence[str],
-        targets: Sequence[str],
-        coefficients: Sequence[float] | np.ndarray,
-        intercepts: Mapping[str, float],
-        disturbance_variances: Mapping[str, float],
-    ) -> "StructuralModel":
-        """:meth:`from_edges` on the edge list split into three columns."""
-        diagram = PathDiagram(tuple(variables), tuple(zip(sources, targets)))
-        n = diagram.n_vertices
-        coeff = np.zeros((n, n))
-        src, tgt = diagram._endpoints
-        if diagram._multiplicity.max(initial=0) <= 1:
-            coeff[tgt, src] = coefficients
-        else:  # a repeated edge keeps its last coefficient
-            for i, j, c in zip(tgt, src, coefficients):
-                coeff[i, j] = c
-        mu = np.zeros(n)
-        for name, value in intercepts.items():
-            mu[diagram.index(name)] = value
-        dvar = np.ones(n)
-        for name, value in disturbance_variances.items():
-            dvar[diagram.index(name)] = value
-        return cls(diagram, coeff, mu, dvar)
+            variables = dict.fromkeys(chain.from_iterable(zip(sources, targets)))
+        diagram = PathDiagram._of(variables, sources, targets)
+        return cls(diagram, diagram._matrix([c for _, _, c in rows]),
+                   diagram._vector(intercepts, 0.0), diagram._vector(disturbance_variances, 1.0))
 
 
 @dataclass(frozen=True)
@@ -334,8 +365,9 @@ def _scc_radii(matrix: np.ndarray) -> list[tuple[np.ndarray, float]]:
         closure = reach.astype(np.float32) @ reach.astype(np.float32) > 0.0
     mutual = closure & closure.T
     lowest = ~np.tril(mutual, -1).any(axis=1)  # no lower-indexed vertex in its component
-    return [(g, float(np.abs(np.linalg.eigvals(m[np.ix_(g, g)])).max()))
-            for g in map(np.flatnonzero, mutual[lowest])]
+    # a one-vertex block's radius is its entry's modulus, which is what eigvals returns
+    return [(g, float(np.abs(np.linalg.eigvals(m[np.ix_(g, g)])).max()) if len(g) > 1
+             else abs(float(m[g[0], g[0]]))) for g in map(np.flatnonzero, mutual[lowest])]
 
 
 def validate_model(model: StructuralModel, partition: VertexPartition | None = None) -> list[str]:
@@ -358,7 +390,7 @@ def validate_model(model: StructuralModel, partition: VertexPartition | None = N
         violations.append("disturbance variances contain non-finite entries")
 
     names = diagram.vertices
-    src, tgt = diagram._endpoints
+    src, tgt = diagram.sources, diagram.targets
     for i in np.flatnonzero(np.diagonal(coeff) != 0.0):
         violations.append(f"self-loop at vertex {names[i]}")
     for k in np.flatnonzero(src == tgt):
@@ -546,26 +578,22 @@ def model_from_dict(payload: dict) -> StructuralModel:
             raise InputFormatError(f"'{key}' names unknown variables: {sorted(bad)}")
         return {k: _number(v, f"'{key}' value for {k!r}") for k, v in raw.items()}
 
+    intercepts, variances = named_map("intercepts"), named_map("disturbance_variances")
     try:
-        return StructuralModel._from_columns(
-            variables,
-            sources,
-            targets,
-            coeffs,
-            named_map("intercepts"),
-            named_map("disturbance_variances"),
-        )
+        diagram = PathDiagram._of(variables, sources, targets)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
+    return StructuralModel(diagram, diagram._matrix(coeffs), diagram._vector(intercepts, 0.0),
+                           diagram._vector(variances, 1.0))
 
 
 def model_to_dict(model: StructuralModel) -> dict:
-    sources, targets = model.diagram._endpoints
-    coeffs = model.coefficients[targets, sources].tolist()
+    diagram = model.diagram
+    coeffs = model.coefficients[diagram.targets, diagram.sources].tolist()
     return {
         "variables": list(model.variables),
         "edges": [{"from": s, "to": t, "coeff": c}
-                  for (s, t), c in zip(model.diagram.edges, coeffs)],
+                  for (s, t), c in zip(diagram.edges, coeffs)],
         "intercepts": {
             v: float(model.intercepts[i]) for i, v in enumerate(model.variables)
         },
@@ -642,9 +670,9 @@ def model_hash(model: StructuralModel) -> str:
     """Short content digest of a model: its variable names, its edges (as
     source and target indices, in order) and the exact bits of its
     coefficient matrix, intercepts and disturbance variances."""
-    sources, targets = model.diagram._endpoints
-    digest = hashlib.sha256(json.dumps([model.variables, len(sources)]).encode())
-    for array in (sources, targets):
+    diagram = model.diagram
+    digest = hashlib.sha256(json.dumps([model.variables, len(diagram.sources)]).encode())
+    for array in (diagram.sources, diagram.targets):
         digest.update(array.astype("<i8").tobytes())
     for array in (model.coefficients, model.intercepts, model.disturbance_variances):
         digest.update(array.astype("<f8").tobytes())

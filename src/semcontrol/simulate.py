@@ -101,7 +101,7 @@ def draw_equilibrium(
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
     values = np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
-    if not is_stable(spectral_radius(model)):
+    if not (model.certified_stable or is_stable(spectral_radius(model))):
         warnings.warn(
             "model is not stable: equilibrium draws exist but are not reachable "
             "by iteration from any starting point",
@@ -156,8 +156,7 @@ def simulate_plan(
     unreachable one anyway, with a warning.
     """
     post = apply_plan(model, partition, plan)
-    rho = spectral_radius(post)
-    if not is_stable(rho):
+    if not post.certified_stable and not is_stable(rho := spectral_radius(post)):
         raise UnstablePlan(
             f"post-plan spectral radius {rho:.6g} is not below 1; the controlled "
             "equilibrium is not reachable"

@@ -612,6 +612,22 @@ class TestSimulateCommand:
             assert captured.out.endswith(f"\nwarnings:\n  - {message}\n")
 
 
+@pytest.fixture
+def band_model_file(tmp_path):
+    """The two-cycle X <-> Y with eigenvalues +-(1 - 1e-8): stable, but too close to 1
+    for the certificate, so every gate falls back to the eigen-solve."""
+    path = tmp_path / "band.json"
+    sc.save_model(sc.StructuralModel.from_edges(
+        [("X", "Y", 1.0 - 1e-8), ("Y", "X", 1.0 - 1e-8)], variables=["Y", "X"]), path)
+    return str(path)
+
+
+#: (model file fixture, the flags naming its covariates, searches of a gate-only command):
+#: the certificate covers the Iverson model, and not the tolerance-band two-cycle.
+_GATE_MODELS = {"certified": ("model_file", ["--W", "Z1"], 0),
+                "eigen-gate": ("band_model_file", [], 1)}
+
+
 class TestComputeOnce:
     """Each command computes a quantity at most once, and only the ones it reads."""
 
@@ -625,52 +641,113 @@ class TestComputeOnce:
             monkeypatch.setattr(target, name, counted)
         return calls
 
-    def test_plan_eval_with_optimal_gains(self, model_file, monkeypatch, capsys):
+    @pytest.mark.parametrize("kind", _GATE_MODELS)
+    def test_plan_eval_with_optimal_gains(self, request, monkeypatch, capsys, kind):
+        fixture, covariates, checks = _GATE_MODELS[kind]
         calls = self.count(monkeypatch, cli, "check_stability", "total_effects", "optimal_b",
                            "implied_moments")
-        assert run_command(["plan-eval", "--model", model_file, "--treatment", "X",
-                            "--response", "Y", "--W", "Z1", "--a", "-1", "--b", "optimal"]) == 0
-        assert calls == {"check_stability": 1, "total_effects": 1, "optimal_b": 1,
+        assert run_command(["plan-eval", "--model", request.getfixturevalue(fixture),
+                            "--treatment", "X", "--response", "Y", *covariates,
+                            "--a", "-1", "--b", "optimal"]) == 0
+        assert calls == {"check_stability": checks, "total_effects": 1, "optimal_b": 1,
                          "implied_moments": 1}
 
-    def test_fixed_gain_simulate_reads_no_moments(self, model_file, tmp_path, monkeypatch,
-                                                  capsys):
+    @pytest.mark.parametrize("kind", _GATE_MODELS)
+    def test_fixed_gain_simulate_reads_no_moments(self, request, tmp_path, monkeypatch,
+                                                  capsys, kind):
+        fixture, _, checks = _GATE_MODELS[kind]
         calls = self.count(monkeypatch, cli, "check_stability", "implied_moments",
                            "total_effects")
         calls.update(self.count(monkeypatch, cli.RegressionBlocks, "from_moments"))
-        assert run_command(["simulate", "--model", model_file, "--treatment", "X",
-                            "--response", "Y", "--x", "1", "--n", "10",
+        assert run_command(["simulate", "--model", request.getfixturevalue(fixture),
+                            "--treatment", "X", "--response", "Y", "--x", "1", "--n", "10",
                             "--out", str(tmp_path / "post.csv")]) == 0
-        assert calls == {"check_stability": 1, "implied_moments": 0, "total_effects": 0,
+        assert calls == {"check_stability": checks, "implied_moments": 0, "total_effects": 0,
                          "from_moments": 0}
 
 
 class TestComponentSearch:
     """A model's strongly connected components are searched at most once per model
-    object, and every spectral radius a command reads comes from them."""
+    object, and only where the certificate does not prove stability or a radius is
+    reported; every spectral radius a command reads comes from them."""
 
-    @pytest.mark.parametrize("argv, searches", [
-        (["effects"], 1),
-        (["plan-eval", "--W", "Z1", "--a", "-1", "--b", "optimal"], 1),
-        (["stability", "--F", "Y"], 1),
-        (["simulate", "--x", "1", "--a", "-1"], 2),  # the model, then the post-plan model
-    ], ids=["effects", "plan-eval-optimal", "stability", "plan-simulate"])
-    def test_searched_once_per_model(self, model_file, tmp_path, monkeypatch, capsys, argv,
+    @pytest.mark.parametrize("kind, argv, searches", [
+        ("certified", ["effects"], 0),
+        ("certified", ["plan-eval", "--W", "Z1", "--a", "-1", "--b", "optimal"], 0),
+        ("certified", ["stability", "--F", "Y"], 1),
+        ("certified", ["simulate", "--x", "1", "--a", "-1"], 0),
+        ("eigen-gate", ["effects"], 1),
+        ("eigen-gate", ["plan-eval", "--a", "-1", "--b", "optimal"], 1),
+        ("eigen-gate", ["stability", "--F", "Y"], 1),
+        # the model, then the post-plan model
+        ("eigen-gate", ["simulate", "--x", "1", "--a", "-1"], 2),
+    ], ids=["effects", "plan-eval-optimal", "stability", "plan-simulate", "effects-band",
+            "plan-eval-optimal-band", "stability-band", "plan-simulate-band"])
+    def test_searched_once_per_model(self, request, tmp_path, monkeypatch, capsys, kind, argv,
                                      searches):
         calls = TestComputeOnce.count(monkeypatch, sc.model, "_scc_radii")
         out = ["--n", "10", "--out", str(tmp_path / "d.csv")] if argv[0] == "simulate" else []
-        assert run_command([*argv, "--model", model_file, "--treatment", "X",
+        model = request.getfixturevalue(_GATE_MODELS[kind][0])
+        assert run_command([*argv, "--model", model, "--treatment", "X",
                             "--response", "Y", *out]) == 0
         assert calls == {"_scc_radii": searches}
 
-    @pytest.mark.parametrize("argv", [["stability"], ["simulate", "--n", "10"]],
-                             ids=["stability", "observational-simulate"])
-    def test_partition_free_commands_search_once(self, model_file, tmp_path, monkeypatch,
-                                                 capsys, argv):
+    @pytest.mark.parametrize("kind, argv, searches", [
+        ("certified", ["stability"], 1),
+        ("certified", ["simulate", "--n", "10"], 0),
+        ("eigen-gate", ["stability"], 1),
+        ("eigen-gate", ["simulate", "--n", "10"], 1),
+    ], ids=["stability", "observational-simulate", "stability-band",
+            "observational-simulate-band"])
+    def test_partition_free_commands_search_once(self, request, tmp_path, monkeypatch,
+                                                 capsys, kind, argv, searches):
         calls = TestComputeOnce.count(monkeypatch, sc.model, "_scc_radii")
         out = ["--out", str(tmp_path / "d.csv")] if argv[0] == "simulate" else []
-        assert run_command([*argv, "--model", model_file, *out]) == 0
-        assert calls == {"_scc_radii": 1}
+        model = request.getfixturevalue(_GATE_MODELS[kind][0])
+        assert run_command([*argv, "--model", model, *out]) == 0
+        assert calls == {"_scc_radii": searches}
+
+
+@pytest.fixture(scope="module")
+def large_model_file(tmp_path_factory):
+    """A dense n=256 model of spectral radius 0.5 with two strongly connected components:
+    64 upstream variables U0.. (the covariates' block) feeding 192 others, X and Y among them."""
+    rng = np.random.default_rng(13)
+    up, n = 64, 256
+    mask = rng.random((n, n)) < 0.3
+    mask[:up, up:] = False  # nothing downstream feeds the upstream block
+    np.fill_diagonal(mask, False)
+    coeff = np.where(mask, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    coeff *= 0.5 / sc.spectral_radius(coeff)
+    names = [f"U{i}" for i in range(up)] + ["X", "Y"] + [f"D{i}" for i in range(n - up - 2)]
+    rows, cols = np.nonzero(coeff)
+    model = sc.StructuralModel.from_edges(
+        [(names[j], names[i], coeff[i, j]) for i, j in zip(rows, cols)], variables=names)
+    path = tmp_path_factory.mktemp("large") / "large.json"
+    sc.save_model(model, path)
+    return str(path)
+
+
+class TestLargeCertifiedModel:
+    """On a large stable model the gate-only commands prove stability without an
+    eigen-solve; a command that reports radii solves each nontrivial component once."""
+
+    @pytest.mark.parametrize("argv, solves", [
+        (["effects"], 0),
+        (["plan-eval", "--W", "U0,U1", "--a", "-0.5", "--b", "optimal"], 0),
+        (["plan-optimize", "--W", "U0,U1"], 0),
+        (["simulate", "--n", "10"], 0),
+        (["stability"], 2),
+    ], ids=["effects", "plan-eval-optimal", "plan-optimize", "observational-simulate",
+            "stability"])
+    def test_eigen_solves(self, large_model_file, tmp_path, monkeypatch, capsys, argv, solves):
+        calls = TestComputeOnce.count(monkeypatch, np.linalg, "eigvals")
+        if argv[0] == "simulate":
+            argv = [*argv, "--out", str(tmp_path / "d.csv")]
+        else:
+            argv = [*argv, "--treatment", "X", "--response", "Y"]
+        assert run_command([*argv, "--model", large_model_file]) == 0
+        assert calls == {"eigvals": solves}
 
 
 class TestReports:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 from unittest import mock
@@ -106,6 +107,27 @@ class TestDataset:
         path.write_text("A,B\n1.0,2.0,3.0\n")
         with pytest.raises(sc.InputFormatError, match="ragged"):
             sc.Dataset.from_csv(path)
+
+    def test_a_callers_array_is_copied_and_stays_writable(self):
+        rows = np.zeros((2, 2))
+        data = sc.Dataset(("A", "B"), rows)
+        rows[0, 0] = 1.0
+        assert rows.flags.writeable and data.rows[0, 0] == 0.0
+        assert not data.rows.flags.writeable
+
+    def test_from_csv_holds_one_copy_of_the_rows(self, tmp_path):
+        # one segment, so the single pass reads it; np.loadtxt's growing buffer is the rest
+        rows = np.random.default_rng(5).normal(size=(20_000, 5))
+        path = tmp_path / "draws.csv"
+        sc.Dataset(tuple("ABCDE"), rows).to_csv(path)
+        tracemalloc.start()
+        try:
+            data = sc.Dataset.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(data.rows, rows)
+        assert peak < 1.5 * rows.nbytes
 
 
 def _reference_to_csv(data, path):
@@ -214,13 +236,15 @@ class TestMalformedCsv:
          "{path}:5: non-numeric or missing cell"),
         (_HEADER + "\u0661,2,3\r\n" + _ROWS, sc.InputFormatError,
          "{path}:2: non-numeric or missing cell"),
+        (b"X,Y,Z\r\n1,2\xe9,3\r\n4,5,6\r\n", sc.InputFormatError, "{path}:2: not valid UTF-8"),
+        (b"X,\xe9,Z\r\n1,2,3\r\n", sc.InputFormatError, "{path}:1: not valid UTF-8"),
     ], ids=["empty", "header-only", "blank-only", "whitespace-line", "trailing-comma",
             "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell", "empty-cell",
             "quoted-comma", "hash-line", "hash-one-column", "nan", "overflow", "underscore",
-            "arabic-indic-digit"])
+            "arabic-indic-digit", "latin-1-cell", "latin-1-header"])
     def test_rejected(self, tmp_path, capsys, text, error, message):
         path = tmp_path / "obs.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         message = message.format(path=path)
         with pytest.raises(error) as info:
             sc.Dataset.from_csv(path)

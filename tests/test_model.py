@@ -3,7 +3,9 @@
 import ast
 import re
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
-from semcontrol.model import CONDITION_LIMIT, inverse, model_from_dict, model_to_dict
+from semcontrol.cli import run_command
+from semcontrol.model import (
+    CONDITION_LIMIT,
+    STABILITY_TOL,
+    inverse,
+    model_from_dict,
+    model_to_dict,
+)
 from support import cubic_roots, random_cyclic_model, reachable_floyd_warshall
 
 
@@ -42,7 +51,8 @@ class TestPathDiagram:
         d = sc.PathDiagram(("A", "B", "C"), (("B", "C"), ("A", "C"), ("C", "A"), ("B", "C")))
         assert d.parents("C") == ("B", "A", "B")
         assert d.parents("B") == ()
-        assert d.parents("Q") == ()
+        with pytest.raises(ValueError, match="unknown vertex 'Q'"):
+            d.parents("Q")
 
     def test_has_edge_reads_direction_and_refuses_unknown_names(self):
         d = sc.PathDiagram(("A", "B"), (("A", "B"),))
@@ -416,6 +426,88 @@ def test_every_dependency_is_imported():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 roots.add(node.module.split(".")[0])
     assert roots - set(sys.stdlib_module_names) - {"semcontrol"} == declared
+
+
+def _with_coefficients(matrix: np.ndarray) -> sc.StructuralModel:
+    """The model on V0, V1, ... whose coefficients are ``matrix``, an edge per nonzero."""
+    n = len(matrix)
+    names = tuple(f"V{i}" for i in range(n))
+    diagram = sc.PathDiagram(names, [(names[j], names[i]) for i, j in zip(*np.nonzero(matrix))])
+    return sc.StructuralModel(diagram, matrix, np.zeros(n), np.ones(n))
+
+
+@st.composite
+def planted_radius_matrices(draw):
+    """Matrices with a planted spectral radius in [0.3, 1.5], often within 1e-9 of 1:
+    dense ones with a zero diagonal; Jordan-like ones, a triangular matrix with a large
+    upper part hidden by a permutation or by a non-orthogonal similarity; and weighted
+    cycles, whose weights differ by up to e^8 while their product sets the radius."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 10))
+    rho = draw(st.one_of(st.floats(0.3, 1.5),
+                         st.sampled_from([1 - 2e-9, 1 - 1e-9, 1 - 5e-10, 1.0, 1 + 1e-9])))
+    kind = draw(st.sampled_from(["dense", "jordan", "similar", "cycle"]))
+    perm = rng.permutation(n)
+    if kind == "dense":
+        m = rng.normal(size=(n, n))
+        np.fill_diagonal(m, 0.0)
+        return m * (rho / np.abs(np.linalg.eigvals(m)).max())
+    if kind == "cycle":
+        weights = np.exp(rng.uniform(-4.0, 4.0, n)) * rng.choice([-1.0, 1.0], n)
+        weights *= rho / np.prod(np.abs(weights)) ** (1.0 / n)
+        m = np.zeros((n, n))
+        m[perm, np.roll(perm, 1)] = weights
+        return m
+    upper = np.triu(rng.normal(size=(n, n)), 1) * draw(st.floats(1.0, 50.0))
+    diagonal = rng.uniform(-rho, rho, n)
+    diagonal[0] = rho * rng.choice([-1.0, 1.0])
+    t = upper + np.diag(diagonal)
+    if kind == "jordan":
+        return t[np.ix_(perm, perm)]
+    s = np.eye(n) + np.triu(rng.normal(size=(n, n)), 1) * 10.0
+    return s @ t @ np.linalg.inv(s)
+
+
+class TestCertificate:
+    """``StructuralModel.certified_stable`` proves stability without an eigen-solve, and
+    never where the eigen gate would refuse."""
+
+    @given(planted_radius_matrices())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_certified_matrix_passes_the_eigen_gate(self, matrix):
+        if _with_coefficients(matrix).certified_stable:
+            assert sc.spectral_radius(matrix) < 1.0 - STABILITY_TOL
+
+    @given(planted_radius_matrices())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_a_certified_model_exits_as_the_eigen_gate_does(self, matrix):
+        model = _with_coefficients(matrix)
+        if not model.certified_stable or np.diagonal(matrix).any():  # a self-loop is invalid
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "model.json")
+            sc.save_model(model, path)
+            for argv in (["effects"], ["plan-eval", "--a", "0.5"]):
+                argv += ["--model", path, "--treatment", "V0", "--response", "V1"]
+                certified = run_command(argv)
+                with mock.patch.object(sc.StructuralModel, "certified_stable",
+                                       property(lambda self: False)):
+                    assert run_command(argv) == certified
+
+    @pytest.mark.parametrize("rho, certified", [(0.0, True), (0.5, True), (0.9, True),
+                                                (1.0 - 1e-8, False), (1.0, False), (2.0, False)])
+    def test_random_dense_matrices(self, rng, rho, certified):
+        m = rng.normal(size=(40, 40))
+        m *= rho / np.abs(np.linalg.eigvals(m)).max()
+        assert _with_coefficients(m).certified_stable is certified
+
+    def test_non_finite_and_overflowing_matrices_are_not_certified(self):
+        for entry in (np.nan, np.inf, 1e200):
+            m = np.array([[0.0, entry], [0.1, 0.0]])
+            assert _with_coefficients(m).certified_stable is False
+
+    def test_bundled_model_is_certified(self, iverson_model):
+        assert iverson_model.certified_stable
 
 
 class TestConvergenceProperties:
