@@ -87,22 +87,22 @@ class Dataset:
     def to_csv(self, path: str | Path) -> None:
         """Header row, then each value as its shortest round-trip ``repr``, CRLF line ends.
 
-        The rows are formatted a block of about ``_CSV_BLOCK_CELLS`` cells at a
-        time by one ``%`` call; ``%r`` of a float is its ``repr``, so the bytes
-        are those of a ``csv.writer`` row of ``repr`` strings.  Several blocks are
-        formatted by forked workers (:func:`_fork_map`) and written in order.  The
-        file is replaced whole or not at all.
+        The rows are formatted a block of about ``_CSV_BLOCK_CELLS`` cells at a time
+        by :func:`_csv_lines`, whose bytes are those of a ``csv.writer`` row of
+        ``repr`` strings.  Several blocks are formatted by forked workers
+        (:func:`_fork_map`) and written in order.  The file is replaced whole or not
+        at all.
         """
-        line = ",".join(["%r"] * len(self.columns)) + "\r\n"
         step = max(1, _CSV_BLOCK_CELLS // max(len(self.columns), 1))
         starts = range(0, self.n, step)
 
-        def block(start: int) -> str:
-            return _csv_lines(line, self.rows[start:start + step])
+        def block(start: int) -> bytes:
+            return _csv_lines(self.rows[start:start + step])
 
         with _write_whole(path, newline="") as fh:
             csv.writer(fh).writerow(self.columns)
-            fh.writelines(_fork_map(block, starts) or map(block, starts))
+            fh.flush()  # the rows are bytes, written below the text layer
+            fh.buffer.writelines(_fork_map(block, starts) or map(block, starts))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -127,16 +127,215 @@ class Dataset:
             raise InputFormatError(_csv_fault(path, len(header))) from None
 
 
-#: Cells formatted per ``%`` call in :meth:`Dataset.to_csv`; bounds its memory.
+#: Cells per block that :meth:`Dataset.to_csv` hands to :func:`_csv_lines`.
 _CSV_BLOCK_CELLS = 2**18
+
+#: Cells that :func:`_csv_lines` formats at a time; bounds its scratch arrays.
+_CSV_SUB_CELLS = 2**13
 
 #: Bytes of a CSV file that one worker of :meth:`Dataset.from_csv` parses per task.
 _CSV_SEGMENT_BYTES = 2**23
 
+#: ``_POW10[j + 5]`` is the double nearest ``10**j``, exact for ``0 <= j <= 22``.
+_POW10 = np.array([float(f"1e{j}") for j in range(-5, 23)])
 
-def _csv_lines(line: str, block: np.ndarray) -> str:
-    """The rows of ``block`` as CSV text, ``line`` being the ``%r`` template of one row."""
-    return (line * len(block)) % tuple(block.ravel().tolist())
+
+def _csv_lines(block: np.ndarray) -> bytes:
+    """The rows of ``block`` as CSV bytes: each value as its ``repr``, ``,`` between
+    cells and ``\\r\\n`` after each row.
+
+    Values in ``1e-4 <= |x| < 1e16``, which ``repr`` writes without an exponent, take
+    their digits from :func:`_shortest`; the others, and the ties that it declines, are
+    formatted by ``%r``.  :func:`_format_cells` assembles the text ``_CSV_SUB_CELLS``
+    cells at a time, with one ``%`` call for the ``repr`` cells among them.
+    """
+    rows, width = block.shape
+    if not width:
+        return b"\r\n" * rows
+    cells = block.ravel()
+    masks = _slot_masks()
+    return b"".join(
+        _format_cells(cells[start:start + _CSV_SUB_CELLS], start % width, width, masks)
+        for start in range(0, cells.size, _CSV_SUB_CELLS)
+    )
+
+
+#: The slot of one cell in :func:`_format_cells`; 0xff marks a digit.
+_SLOT = b"-0.000" + b"\xff" * 18 + b"." + b"\xff" * 16 + b"0,\r\n"
+
+
+def _slot_masks() -> np.ndarray:
+    """``_SLOT`` with the characters that ``repr`` drops set to zero, one row per
+    (sign, row end, decimal exponent k in [-4, 15], digit count p in [0, 17]).
+
+    The digit bytes are 0xff where kept, so that ``&`` with the digits keeps them.
+    With ``a = max(k + 1, 0)`` integer digits, the text is the sign, then ``0.``, the
+    ``-k - 1`` zeros and the first digit when ``k < 0``, then the first ``a`` digits
+    of the integer copy and ``.`` when ``k >= 0``, then digits ``a`` to ``p - 1`` of
+    the fraction copy (which starts at the second digit), ``0`` when ``p <= a``, and
+    ``,`` or ``\\r\\n``.  A row with ``p = 0`` keeps only the separator, for a cell
+    whose ``repr`` is written into its slot.
+    """
+    neg, end, k, p = np.ix_(range(2), range(2), range(-4, 16), range(18))
+    neg, end, a = neg == 1, end == 1, np.maximum(k + 1, 0)
+    keep = ([neg, k < 0, k < 0] + [-k - 1 > z for z in range(3)] + [k < 0]
+            + [a > z for z in range(17)] + [k >= 0]
+            + [(z >= a) & (z < p) for z in range(1, 17)] + [p <= a])
+    keep = [column & (p > 0) for column in keep] + [~end, end, end]
+    keep = np.stack([np.broadcast_to(column, (2, 2, 20, 18)) for column in keep], axis=-1)
+    return (keep * np.frombuffer(_SLOT, np.uint8)).reshape(-1, len(_SLOT))
+
+
+def _format_cells(x: np.ndarray, column: int, width: int, masks: np.ndarray) -> bytes:
+    """:func:`_csv_lines` of the cells ``x``, the first of which is in ``column``.
+
+    Each cell gets a copy of its row of ``masks``, :data:`_SLOT` with only the
+    characters of its text left, into whose digit bytes the 17 digits of
+    :func:`_shortest` are and-ed; a ``repr`` goes over the start of the slot.  Deleting
+    the zero bytes and the padding of the ``repr`` strings leaves the text.  Cells that
+    are mostly outside the kernel's range are all formatted by ``%``, which then costs
+    less than the slots.
+    """
+    n = len(x)
+    a = np.abs(x)
+    exact = (a >= 1e-4) & (a < 1e16)
+    if np.count_nonzero(exact) * 2 < n:  # mostly reprs: ``%`` on a template of the rows
+        ends = (column + n) // width
+        rows = ("%r," * (width - 1) + "%r\r\n") * (ends + 1)
+        return (rows[3 * column:3 * (column + n) + ends] % tuple(x.tolist())).encode()
+    if exact.all():
+        digits, k, p = _shortest(a)
+    else:  # digits 0, k 0 and p 1 spell 0.0; p 0 leaves the cell to repr
+        digits, k, p = np.zeros(n, np.int64), np.zeros(n, np.int32), (a == 0).astype(np.int64)
+        at = np.flatnonzero(exact)
+        digits[at], k[at], p[at] = _shortest(a[at])
+    end = (np.arange(column, column + n) % width) == width - 1
+    slots = np.take(masks, ((np.signbit(x) * 2 + end) * 20 + k + 4) * 18 + p, axis=0)
+    # the first of the 17 digits, then two words of 8 ASCII digits, the first in the
+    # lowest byte: each word's lanes are split in halves, 4 + 4, 2 + 2, then 1 + 1 digits
+    high = digits // 10**8
+    first = high // 10**8
+    words = np.stack([high - first * 10**8, digits - high * 10**8]).astype(np.uint64)
+    q = words // 10**4
+    words = q | (words - q * 10**4) << 32
+    q = (words * 10486 >> 20) & 0x0000007F0000007F  # each 32-bit lane // 100
+    words = q | (words - q * 100) << 16
+    q = (words * 103 >> 10) & 0x000F000F000F000F  # each 16-bit lane // 10
+    words = q | (words - q * 10) << 8 | 0x3030303030303030
+    first = first.astype(np.uint8) | ord("0")
+    slots[:, 6] &= first
+    slots[:, 7] &= first
+    for offset, word in ((8, words[0]), (16, words[1]), (25, words[0]), (33, words[1])):
+        slots[:, offset:offset + 8].view("<u8")[:, 0] &= word
+    at = np.flatnonzero(p == 0)
+    if len(at):  # each repr padded with spaces to 24 characters, which no finite repr passes
+        text = ("%-24r" * len(at)) % tuple(x[at].tolist())
+        slots[at, :24] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+    return slots.tobytes().translate(None, b"\0 ")
+
+
+def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digits that ``repr`` prints for each positive ``a`` in ``[1e-4, 1e16)``.
+
+    Returns ``(V, k, p)``: ``repr`` prints the ``p`` digits of ``V // 10**(17 - p)``,
+    ``V`` having 17 digits and ``p`` being the fewest that read back as ``a``, with the
+    decimal point after digit ``k + 1``.  ``p`` is 0 where two shortest candidates are
+    equally near, a tie left to ``repr``.  Each step is exact:
+
+    - ``k = floor(log10 a)``.  With ``a = m 2^E``, ``1/2 <= m < 1``, ``k`` is ``k0`` or
+      ``k0 + 1`` for ``k0 = floor((E - 1) log10 2)``, which ``(E - 1) * 78913 >> 18``
+      gives for ``|E| < 1650`` (Adams, "Ryu", PLDI 2018).  ``a >= fl(10^(k0+1))`` picks
+      one: ``10^j`` is a double for ``0 <= j <= 22``, and for ``-4 <= j < 0``
+      ``fl(10^j)`` is the double just above ``10^j``, so no double lies between.
+    - ``S = a 10^m``, ``m = 16 - k`` in ``[1, 20]``, so ``1e16 <= S < 1e17``; ``10^m``
+      is a double (``5^20 < 2^53``).  Dekker's two-product (*Numer. Math.* 18, 1971)
+      gives ``S = hi + err`` exactly.  ``hi >= 1e16 > 2^53`` is an integer, so
+      ``S = N + f`` with integer ``N = hi + floor(err)`` and ``0 <= f < 1``, both exact.
+    - A decimal reads back as ``a`` when, scaled by ``10^m``, it lies within ``B`` above
+      ``S`` or ``B_low`` below, with ``B = ulp(a)/2 10^m = 10^m 2^(E-54)``, ``B_low = B/2``
+      for a power of two and ``B`` otherwise, and each edge included only when ``a``'s
+      mantissa is even (reading ties to even).  ``S``, ``B`` and ``B_low`` are multiples
+      of ``2^(E-54+m) >= 2^-47`` and ``f + B``, ``f - B_low`` are below 16 in size, so
+      they are exact, and so are ``hiI`` and ``loI``, the largest and smallest integers
+      in the interval.  ``S 2^-54 < B_low <= B <= S 2^-53 < 11.2``: the interval holds
+      ``N + (f > 1/2)``, and ``w = hiI - loI + 1 <= 23`` integers.
+    - ``p`` digits read back as ``a`` exactly when a multiple of ``10^j``, ``j = 17 - p``,
+      lies in ``[loI, hiI]``, a property that holds for every ``j`` up to the largest.
+      ``j >= 1`` when ``hiI mod 10 < w`` and ``j >= 2`` when ``hiI mod 100 < w``; then
+      ``hiI - hiI mod 100`` is the one multiple of 100 inside, and ``j`` is 2 plus the
+      trailing zeros of ``hiI div 100``, found by binary search: for ``h < 2^53``,
+      ``fl(h / 10^s)`` is an integer exactly when ``10^s`` divides ``h``.
+    - Of the shortest candidates ``repr`` prints the one nearest to ``S``.  For ``j = 0``
+      that is ``N + (f > 1/2)``, a tie when ``f = 1/2``.  For ``j = 1`` the candidates
+      are ``M = hiI - hiI mod 10``, ``M - 10`` and ``M - 20`` down to ``loI``, and the
+      distance ``M - S`` picks one; a tie when it is 5 or 15 and both neighbours are
+      inside.  For ``j >= 2`` there is one candidate.
+    - No candidate rounds up to ``10^(k+1)``, which would move the exponent: for
+      ``k + 1 >= 0`` it is a double, so ``S + B`` stays below it, and for ``k + 1 < 0``
+      it lies above the midpoint of ``fl(10^(k+1))`` and the double below.
+    """
+    k, n, f, up, w = _interval(a)
+    top = n + up.astype(np.int64)
+    hundreds = top // 10
+    mod10 = top - hundreds * 10
+    hundreds //= 10
+    mod100 = top - hundreds * 100
+    zeros = _trailing_zeros(hundreds.astype(float))
+    j1, j2 = mod10 < w, mod100 < w
+    gap = (up - mod10) - f  # M - S
+    steps = (gap > 5).astype(np.int64) + (gap > 15)
+    room = (w - 1 - mod10) // 10
+    tie = np.where(j1, ((gap == 5) | (gap == 15)) & (steps < room) & ~j2, f == 0.5)
+    v1 = top - mod10 - 10 * np.minimum(steps, room)
+    v = n + (f > 0.5)
+    v += j1 * (v1 - v) + j2 * (top - mod100 - v1)
+    return v, k, (17 - j1 - j2 - j2 * zeros) * ~tie
+
+
+def _interval(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(k, N, f, up, w)`` of :func:`_shortest`: ``a 10^(16-k) = N + f``, and the ``w``
+    integers in the interval that reads back as ``a`` run from ``loI`` to ``hiI = N + up``."""
+    m, e = np.frexp(a)
+    k = (e - 1) * 78913 >> 18
+    k += a >= np.take(_POW10, k + 6)
+    scale = np.take(_POW10, 21 - k)
+    n, f = _two_product(a, scale)
+    odd = (a.view(np.uint64) & 1).astype(bool)
+    edge = f + np.ldexp(scale, e - 54)
+    up = np.floor(edge)
+    up -= (edge == up) & odd
+    edge = f - np.ldexp(scale, e - 54 - (m == 0.5))
+    down = np.ceil(edge)
+    down += (edge == down) & odd
+    return k, n, f, up, (up - down).astype(np.int64) + 1
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, f)`` with ``a b = N + f`` exactly, ``N`` an integer and ``0 <= f < 1``, for
+    ``a b >= 2^53``: Dekker's two-product, with Veltkamp's split into 26-bit halves."""
+    s = a * b
+    split = a * 134217729.0  # 2^27 + 1
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    split = b * 134217729.0
+    b_hi = split - (split - b)
+    b_lo = b - b_hi
+    err = ((a_hi * b_hi - s) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    whole = np.floor(err)
+    return s.astype(np.int64) + whole.astype(np.int64), err - whole
+
+
+def _trailing_zeros(h: np.ndarray) -> np.ndarray:
+    """The trailing decimal zeros of each positive integer in the float array ``h``, which
+    it divides in place: for ``h < 2^53``, ``fl(h / 10^s)`` is an integer exactly when
+    ``10^s`` divides ``h``.  ``h < 10^15``, so there are at most 14."""
+    zeros = np.zeros(len(h), np.int64)
+    for step in (8, 4, 2, 1):
+        q = h / 10.0**step
+        divides = q == np.floor(q)
+        h /= divides * (10.0**step - 1) + 1
+        zeros += step * divides
+    return zeros
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -272,7 +471,8 @@ def _csv_fault(path, width: int) -> str:
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num  # a quoted cell may hold line ends
             if not row:
                 continue
             if not _utf8(row):

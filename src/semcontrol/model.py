@@ -229,6 +229,13 @@ class StructuralModel:
         Numerical Algorithms*, 2nd ed., section 3.5).  Once ``||P_k|| + e_k < 1/2``,
         ``rho(A)^(2^k) <= ||A^(2^k)|| < 1/2``, so ``rho(A) < 2^(-1/4096)``, below
         ``1 - STABILITY_TOL`` by far more than the rounding of the norms themselves.
+
+        The squaring stops early, with False, once ``|fl(tr P_k)| - gamma_n sum |p_ii|
+        >= 2n``, for then no later step can pass the test above.  If ``e_k >= 1``, so is
+        every later ``e``, since ``e_(k+1) >= e_k^2``.  Otherwise ``|tr A^(2^k)| > n``: the
+        computed trace is within ``gamma_n sum |p_ii|`` of ``tr P_k``, which is within
+        ``n e_k < n`` of ``tr A^(2^k)`` (``|tr E| <= n ||E||``).  As ``|tr A^(2^k)| <= n
+        rho(A)^(2^k)``, ``rho(A) > 1``.
         """
         n = self.n_variables
         gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
@@ -238,7 +245,9 @@ class StructuralModel:
                 norm = float(np.abs(power).sum(axis=0).max(initial=0.0))
                 if norm + error < 0.5:
                     return True
-                if squarings == _SQUARINGS or not norm + error < np.inf:
+                diagonal = np.diagonal(power)
+                trace = abs(float(diagonal.sum())) - gamma * float(np.abs(diagonal).sum())
+                if squarings == _SQUARINGS or not norm + error < np.inf or trace >= 2 * n:
                     return False
                 power, error = power @ power, (2.0 * norm + error) * error + gamma * norm * norm
 

@@ -179,6 +179,51 @@ class TestCsvFormat:
         values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
         _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(width)), values))
 
+    def test_cells_are_formatted_as_their_repr(self):
+        """About 10^6 cells of every kind against ``repr``: exact digits for
+        ``1e-4 <= |x| < 1e16``, ``repr`` for the rest and for declined ties."""
+        rng = np.random.default_rng(15)
+        n = 2**17
+        near = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                               [float(f"1e{k}") for k in range(-5, 18)]])
+        bits = rng.integers(0, 2**64, n // 2, dtype=np.uint64).view(float)
+        families = [
+            rng.standard_normal(2 * n), rng.random(n),
+            bits[np.isfinite(bits)],
+            rng.integers(-10**6, 10**6, n).astype(float),
+            rng.integers(-2**53, 2**53, n // 4).astype(float),
+            np.concatenate([np.round(rng.standard_normal(n // 8) * 10.0**e, d)
+                            for e, d in [(-3, 6), (0, 1), (0, 2), (2, 3), (5, 2), (8, 0)]]),
+            np.concatenate([near, np.nextafter(near, np.inf), np.nextafter(near, -np.inf)]),
+            rng.standard_normal(n // 2) * 10.0**rng.integers(-8, 20, n // 2),
+            1.2e15 + rng.integers(0, 10**6, n // 8) * 0.25,  # ties at the 17th digit
+            rng.standard_normal(n // 4) * 1e-7,  # no cell in the kernel's range
+            [9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16, 0.0, -0.0,
+             5e-324, 1.7976931348623157e308, -1.7976931348623157e308],
+        ]
+        for family in families:
+            values = np.asarray(family, dtype=float)
+            values *= rng.choice([-1.0, 1.0], len(values))
+            # 7 cells a row put the edges of the sub-chunks mid-row
+            block = np.resize(values, (-(-len(values) // 7), 7))
+            expected = (("%r,%r,%r,%r,%r,%r,%r\r\n" * len(block))
+                        % tuple(block.ravel().tolist())).encode()
+            got = estimation._csv_lines(block)
+            if got != expected:
+                rows = [(a, b) for a, b in zip(got.split(b"\r\n"), expected.split(b"\r\n"))
+                        if a != b]
+                pytest.fail(f"first differing row: {rows[0]}")
+
+    def test_a_block_is_formatted_in_memory_bounded_by_its_text(self):
+        block = np.random.default_rng(16).standard_normal((estimation._CSV_BLOCK_CELLS // 8, 8))
+        tracemalloc.start()
+        try:
+            text = estimation._csv_lines(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
+
     def test_header_is_written_as_csv(self, tmp_path):
         columns = ("plain", "with,comma", 'with "quote"', "with\r\nbreak", " padded ")
         _assert_round_trip(tmp_path, sc.Dataset(columns, np.arange(10.0).reshape(2, 5)))
@@ -238,10 +283,12 @@ class TestMalformedCsv:
          "{path}:2: non-numeric or missing cell"),
         (b"X,Y,Z\r\n1,2\xe9,3\r\n4,5,6\r\n", sc.InputFormatError, "{path}:2: not valid UTF-8"),
         (b"X,\xe9,Z\r\n1,2,3\r\n", sc.InputFormatError, "{path}:1: not valid UTF-8"),
+        ('X,Y\r\n"1\r\n",2\r\n3,x\r\n', sc.InputFormatError,
+         "{path}:4: non-numeric or missing cell"),
     ], ids=["empty", "header-only", "blank-only", "whitespace-line", "trailing-comma",
             "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell", "empty-cell",
             "quoted-comma", "hash-line", "hash-one-column", "nan", "overflow", "underscore",
-            "arabic-indic-digit", "latin-1-cell", "latin-1-header"])
+            "arabic-indic-digit", "latin-1-cell", "latin-1-header", "after-a-quoted-line-end"])
     def test_rejected(self, tmp_path, capsys, text, error, message):
         path = tmp_path / "obs.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -409,8 +456,8 @@ class TestParallelCsv:
         assert pools == []
 
     @pytest.mark.parametrize("command, patch, failure", [
-        ("simulate", "_csv_lines = lambda line, block: os._exit(3)", "BrokenProcessPool: "),
-        ("simulate", "_csv_lines = lambda line, block: 1 / 0",
+        ("simulate", "_csv_lines = lambda block: os._exit(3)", "BrokenProcessPool: "),
+        ("simulate", "_csv_lines = lambda block: 1 / 0",
          "ZeroDivisionError: division by zero"),
         ("estimate", "_parse_segment = lambda path, span: os._exit(3)", "BrokenProcessPool: "),
     ], ids=["writer-dies", "writer-raises", "reader-dies"])

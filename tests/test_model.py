@@ -501,6 +501,33 @@ class TestCertificate:
         m *= rho / np.abs(np.linalg.eigvals(m)).max()
         assert _with_coefficients(m).certified_stable is certified
 
+    @pytest.mark.parametrize("kind, rho", [("dense", 1.2), ("dense", 2.0), ("rotation", 1.5),
+                                           ("cycle", 2.0), ("cycle", 1.0 + 1e-9)])
+    def test_an_unstable_model_is_not_certified_and_keeps_its_gate(self, rng, tmp_path, capsys,
+                                                                    kind, rho):
+        # a quarter-turn rotation's trace cancels, though its square's does not; every
+        # power A^(2^k) of a 3-cycle has zero trace, so only the cap or an overflow ends
+        # its squaring, while a dense matrix's trace soon ends it
+        if kind == "dense":
+            m = rng.normal(size=(40, 40))
+            np.fill_diagonal(m, 0.0)
+            m *= rho / np.abs(np.linalg.eigvals(m)).max()
+        elif kind == "rotation":
+            m = np.array([[0.0, -rho], [rho, 0.0]])
+        else:
+            m = np.zeros((3, 3))
+            m[[1, 2, 0], [0, 1, 2]] = rho
+        model = _with_coefficients(m)
+        assert model.certified_stable is False
+        path = tmp_path / "model.json"
+        sc.save_model(model, path)
+        argv = ["effects", "--model", str(path), "--treatment", "V0", "--response", "V1"]
+        outcome = run_command(argv), capsys.readouterr().err
+        assert outcome[0] == 2 and outcome[1].startswith("error: model is not stable")
+        with mock.patch.object(sc.StructuralModel, "certified_stable",
+                               property(lambda self: False)):
+            assert (run_command(argv), capsys.readouterr().err) == outcome
+
     def test_non_finite_and_overflowing_matrices_are_not_certified(self):
         for entry in (np.nan, np.inf, 1e200):
             m = np.array([[0.0, entry], [0.1, 0.0]])
