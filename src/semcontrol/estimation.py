@@ -192,17 +192,11 @@ def _format_cells(x: np.ndarray, column: int, width: int, masks: np.ndarray) -> 
     Each cell gets a copy of its row of ``masks``, :data:`_SLOT` with only the
     characters of its text left, into whose digit bytes the 17 digits of
     :func:`_shortest` are and-ed; a ``repr`` goes over the start of the slot.  Deleting
-    the zero bytes and the padding of the ``repr`` strings leaves the text.  Cells that
-    are mostly outside the kernel's range are all formatted by ``%``, which then costs
-    less than the slots.
+    the zero bytes and the padding of the ``repr`` strings leaves the text.
     """
     n = len(x)
     a = np.abs(x)
     exact = (a >= 1e-4) & (a < 1e16)
-    if np.count_nonzero(exact) * 2 < n:  # mostly reprs: ``%`` on a template of the rows
-        ends = (column + n) // width
-        rows = ("%r," * (width - 1) + "%r\r\n") * (ends + 1)
-        return (rows[3 * column:3 * (column + n) + ends] % tuple(x.tolist())).encode()
     if exact.all():
         digits, k, p = _shortest(a)
     else:  # digits 0, k 0 and p 1 spell 0.0; p 0 leaves the cell to repr
@@ -251,14 +245,21 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
       is a double (``5^20 < 2^53``).  Dekker's two-product (*Numer. Math.* 18, 1971)
       gives ``S = hi + err`` exactly.  ``hi >= 1e16 > 2^53`` is an integer, so
       ``S = N + f`` with integer ``N = hi + floor(err)`` and ``0 <= f < 1``, both exact.
-    - A decimal reads back as ``a`` when, scaled by ``10^m``, it lies within ``B`` above
-      ``S`` or ``B_low`` below, with ``B = ulp(a)/2 10^m = 10^m 2^(E-54)``, ``B_low = B/2``
-      for a power of two and ``B`` otherwise, and each edge included only when ``a``'s
-      mantissa is even (reading ties to even).  ``S``, ``B`` and ``B_low`` are multiples
-      of ``2^(E-54+m) >= 2^-47`` and ``f + B``, ``f - B_low`` are below 16 in size, so
-      they are exact, and so are ``hiI`` and ``loI``, the largest and smallest integers
-      in the interval.  ``S 2^-54 < B_low <= B <= S 2^-53 < 11.2``: the interval holds
-      ``N + (f > 1/2)``, and ``w = hiI - loI + 1 <= 23`` integers.
+    - A decimal reads back as ``a`` when, scaled by ``10^m``, it lies within ``B`` of
+      ``S``, ``B = ulp(a)/2 10^m = 10^m 2^(E-54)``.  ``S`` and ``B`` are multiples of
+      ``2^(E-54+m) >= 2^-47`` and ``f +- B`` are below 16 in size, so they are exact, and
+      so are ``hiI`` and ``loI``, the largest and smallest integers in ``[S - B, S + B]``.
+      ``S 2^-54 < B <= S 2^-53 < 11.2``: the interval holds ``N + (f > 1/2)``, and
+      ``w = hiI - loI + 1 <= 23`` integers.
+    - Two refinements of that interval move no output in this range, so they are left
+      out.  Ties to even keep the edges ``S +- B`` only for an even mantissa ``M``; an
+      edge ``(2M +- 1) 5^m 2^(m+E-54)`` is an integer only when ``m + E >= 54``, that is
+      ``a >= 2^52`` with ``m = 1``, and then an odd multiple of 5 or 10, never of 100,
+      while ``S`` itself is a multiple of 10 and nearer.  Below a power of two the gap
+      is ``B/2``; but a power of two here is an integer up to ``2^53`` or ``5^i / 10^i``
+      for ``i <= 13``, so ``S`` is its exact digits, ending in 1, 2, 4, 6, 8 or 5,
+      followed by ``z`` zeros, ``z = m`` or ``z >= 7``, and every shorter decimal is at
+      least ``2 10^z > B`` from ``S``.
     - ``p`` digits read back as ``a`` exactly when a multiple of ``10^j``, ``j = 17 - p``,
       lies in ``[loI, hiI]``, a property that holds for every ``j`` up to the largest.
       ``j >= 1`` when ``hiI mod 10 < w`` and ``j >= 2`` when ``hiI mod 100 < w``; then
@@ -295,19 +296,14 @@ def _shortest(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _interval(a: np.ndarray) -> tuple[np.ndarray, ...]:
     """``(k, N, f, up, w)`` of :func:`_shortest`: ``a 10^(16-k) = N + f``, and the ``w``
     integers in the interval that reads back as ``a`` run from ``loI`` to ``hiI = N + up``."""
-    m, e = np.frexp(a)
+    e = np.frexp(a)[1]
     k = (e - 1) * 78913 >> 18
     k += a >= np.take(_POW10, k + 6)
     scale = np.take(_POW10, 21 - k)
     n, f = _two_product(a, scale)
-    odd = (a.view(np.uint64) & 1).astype(bool)
-    edge = f + np.ldexp(scale, e - 54)
-    up = np.floor(edge)
-    up -= (edge == up) & odd
-    edge = f - np.ldexp(scale, e - 54 - (m == 0.5))
-    down = np.ceil(edge)
-    down += (edge == down) & odd
-    return k, n, f, up, (up - down).astype(np.int64) + 1
+    half_gap = np.ldexp(scale, e - 54)
+    up = np.floor(f + half_gap)
+    return k, n, f, up, (up - np.ceil(f - half_gap)).astype(np.int64) + 1
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,8 +467,9 @@ def _csv_fault(path, width: int) -> str:
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            lineno = reader.line_num  # a quoted cell may hold line ends
+        start = reader.line_num + 1
+        for row in reader:  # a quoted cell may hold line ends: name the record's first line
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if not _utf8(row):

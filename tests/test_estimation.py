@@ -285,10 +285,13 @@ class TestMalformedCsv:
         (b"X,\xe9,Z\r\n1,2,3\r\n", sc.InputFormatError, "{path}:1: not valid UTF-8"),
         ('X,Y\r\n"1\r\n",2\r\n3,x\r\n', sc.InputFormatError,
          "{path}:4: non-numeric or missing cell"),
+        ('X,Y\r\n1,2\r\n"1\r\nx",2\r\n', sc.InputFormatError,
+         "{path}:3: non-numeric or missing cell"),
     ], ids=["empty", "header-only", "blank-only", "whitespace-line", "trailing-comma",
             "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell", "empty-cell",
             "quoted-comma", "hash-line", "hash-one-column", "nan", "overflow", "underscore",
-            "arabic-indic-digit", "latin-1-cell", "latin-1-header", "after-a-quoted-line-end"])
+            "arabic-indic-digit", "latin-1-cell", "latin-1-header", "after-a-quoted-line-end",
+            "spanning-lines"])
     def test_rejected(self, tmp_path, capsys, text, error, message):
         path = tmp_path / "obs.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
