@@ -34,7 +34,6 @@ from .estimation import (
 from .model import (
     _write_whole,
     check_stability,
-    is_stable,
     load_model,
     model_hash,
     partition_vertices,
@@ -176,18 +175,16 @@ class _Analysis:
 
     @cached_property
     def gated(self):
-        """The partition, once both of its block spectral radii are below one: proved by
-        the model's certificate, or else found by the eigen-solve that the message prints."""
-        if self.model.certified_stable:
+        """The partition, once ``StructuralModel.stable`` holds; a refusal prints both
+        block spectral radii."""
+        if self.model.stable:
             return self.partition
         report = check_stability(self.model, self.partition)
-        if not report.stable:
-            raise UnstableModel(
-                "model is not stable: spectral radii "
-                f"(nondescendant block {report.nondescendant_radius:.6g}, "
-                f"feedback block {report.feedback_radius:.6g}) must be below 1"
-            )
-        return self.partition
+        raise UnstableModel(
+            "model is not stable: spectral radii "
+            f"(nondescendant block {report.nondescendant_radius:.6g}, "
+            f"feedback block {report.feedback_radius:.6g}) must be below 1"
+        )
 
     @cached_property
     def spec(self) -> PlanSpec:
@@ -281,23 +278,19 @@ def _cmd_validate(args):
 
 def _cmd_stability(args):
     analysis = _Analysis(args)
+    model = analysis.model
     if args.treatment or args.response:
-        rep = check_stability(analysis.model, analysis.partition)
-        results = {
-            "spectral_radius_nondescendant_block": rep.nondescendant_radius,
-            "spectral_radius_feedback_block": rep.feedback_radius,
-            "stable": rep.stable,
-            "margin": rep.margin,
-        }
-        stable = rep.stable
+        rep = check_stability(model, analysis.partition)
+        results = {"spectral_radius_nondescendant_block": rep.nondescendant_radius,
+                   "spectral_radius_feedback_block": rep.feedback_radius}
     else:
-        rho = spectral_radius(analysis.model)
-        stable = is_stable(rho)
-        results = {"spectral_radius": rho, "stable": stable, "margin": 1.0 - rho}
+        results = {"spectral_radius": spectral_radius(model)}
+    # the largest radius is also the larger block radius, so both forms share a margin
+    results.update(stable=model.stable, margin=1.0 - spectral_radius(model))
     report = Report("stability", inputs=analysis.inputs, results=results)
-    if not stable:
+    if not model.stable:
         report.warnings.append("model is not stable: some spectral radius is not below 1")
-    return report, (0 if stable else 2)
+    return report, (0 if model.stable else 2)
 
 
 def _cmd_effects(args):

@@ -51,7 +51,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlPlan:
     """Parameters (x, a, b, sigma*) of the intervention equation."""
 
@@ -97,7 +97,7 @@ class PlanStability:
     loop_gain: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlanEffect:
     """Post-intervention response mean and control-block covariance.
 
@@ -115,7 +115,7 @@ class PlanEffect:
         return float(self.controls_covariance[0, 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalGains:
     """Variance-minimizing covariate gains, with the consistency residual.
 
@@ -289,7 +289,7 @@ def plan_variance(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovariateComparison:
     """Loewner-order comparison of two covariate sets under optimal gains."""
 

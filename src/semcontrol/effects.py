@@ -20,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularBlock, SingularSystem, UnstableModel
-from .model import StructuralModel, VertexPartition, inverse, is_stable, spectral_radius
+from .model import StructuralModel, VertexPartition, inverse, spectral_radius
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSummary:
     """Mean vector and covariance matrix over the model variables.
 
@@ -84,7 +84,7 @@ class MomentSummary:
         return float(self.covariance[self.index(a), self.index(b)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectSummary:
     """Total effects of the treatment, in the partition's block order.
 
@@ -136,10 +136,9 @@ def total_effects(model: StructuralModel, partition: VertexPartition) -> EffectS
 
 def implied_moments(model: StructuralModel) -> MomentSummary:
     """Equilibrium mean and covariance implied by a stable model."""
-    if not model.certified_stable and not is_stable(rho := spectral_radius(model)):
-        raise UnstableModel(
-            f"spectral radius {rho:.6g} is not below 1; equilibrium moments do not exist"
-        )
+    if not model.stable:
+        raise UnstableModel(f"spectral radius {spectral_radius(model):.6g} is not below 1; "
+                            "equilibrium moments do not exist")
     inv = _equilibrium_map(model)
     cov = (inv * model.disturbance_variances) @ inv.T
     cov = 0.5 * (cov + cov.T)
@@ -169,7 +168,7 @@ def regression_blocks(
     return sigma_rc @ inverse(sigma_cc, singular)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionBlocks:
     """The named regression blocks used by the control-plan formulas.
 

@@ -50,7 +50,7 @@ from .model import (
 WEAK_INSTRUMENT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A rectangular table of observations, one column per model variable.  A read-only
     float ``rows`` array is kept as it is; any other is copied, so the caller's stays its own."""

@@ -169,7 +169,7 @@ class PathDiagram:
         return set(compress(self.vertices, seen))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StructuralModel:
     """A path diagram together with its linear structural equations.
 
@@ -250,6 +250,12 @@ class StructuralModel:
                 if squarings == _SQUARINGS or not norm + error < np.inf or trace >= 2 * n:
                     return False
                 power, error = power @ power, (2.0 * norm + error) * error + gamma * norm * norm
+
+    @property
+    def stable(self) -> bool:
+        """Whether the spectral radius is below ``1 - STABILITY_TOL``, by the certificate or
+        else by the component search; every stability gate of the package reads this."""
+        return self.certified_stable or is_stable(spectral_radius(self))
 
     @classmethod
     def from_edges(

@@ -25,7 +25,7 @@ from .control import ControlPlan, apply_plan
 from .effects import _equilibrium_map
 from .errors import UnstableModelWarning, UnstablePlan
 from .estimation import Dataset
-from .model import StructuralModel, VertexPartition, _write_whole, is_stable, spectral_radius
+from .model import StructuralModel, VertexPartition, _write_whole, spectral_radius
 
 RNG_ALGORITHM = "philox4x64-counter"
 
@@ -101,13 +101,14 @@ def draw_equilibrium(
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
     values = np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
-    if not (model.certified_stable or is_stable(spectral_radius(model))):
+    if not model.stable:
         warnings.warn(
             "model is not stable: equilibrium draws exist but are not reachable "
             "by iteration from any starting point",
             UnstableModelWarning,
             stacklevel=2,
         )
+    values.setflags(write=False)  # so that the dataset keeps this array and copies nothing
     return Dataset(model.variables, values)
 
 
@@ -156,10 +157,10 @@ def simulate_plan(
     unreachable one anyway, with a warning.
     """
     post = apply_plan(model, partition, plan)
-    if not post.certified_stable and not is_stable(rho := spectral_radius(post)):
+    if not post.stable:
         raise UnstablePlan(
-            f"post-plan spectral radius {rho:.6g} is not below 1; the controlled "
-            "equilibrium is not reachable"
+            f"post-plan spectral radius {spectral_radius(post):.6g} is not below 1; the "
+            "controlled equilibrium is not reachable"
         )
     return draw_equilibrium(post, config, row_range)
 

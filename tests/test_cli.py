@@ -622,10 +622,11 @@ def band_model_file(tmp_path):
     return str(path)
 
 
-#: (model file fixture, the flags naming its covariates, searches of a gate-only command):
-#: the certificate covers the Iverson model, and not the tolerance-band two-cycle.
+#: (model file fixture, the flags naming its covariates, ``check_stability`` calls of a
+#: gate-only command): the certificate covers the Iverson model, and not the
+#: tolerance-band two-cycle; a gate calls ``check_stability`` only to word a refusal.
 _GATE_MODELS = {"certified": ("model_file", ["--W", "Z1"], 0),
-                "eigen-gate": ("band_model_file", [], 1)}
+                "eigen-gate": ("band_model_file", [], 0)}
 
 
 class TestComputeOnce:

@@ -1,6 +1,7 @@
 """Model representation, validation, partitioning, and stability checks."""
 
 import ast
+import dataclasses
 import re
 import sys
 import tempfile
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
@@ -428,6 +429,30 @@ def test_every_dependency_is_imported():
     assert roots - set(sys.stdlib_module_names) - {"semcontrol"} == declared
 
 
+def _array_holders() -> dict:
+    """One instance of each frozen dataclass with an array field, by class name."""
+    model, moments = sc.iverson_model(), sc.iverson_moments()
+    part = sc.partition_vertices(model, "X", "Y", covariates=["Z1"])
+    effects = sc.total_effects(model, part)
+    blocks = sc.RegressionBlocks.from_moments(moments, part)
+    plan = sc.ControlPlan(set_point=1.0, feedback=[0.0], covariate_gains=[0.5])
+    held = [model, moments, effects, blocks, plan, sc.Dataset(("a", "b"), np.zeros((2, 2))),
+            sc.plan_variance(moments, effects, blocks, plan), sc.optimal_b(effects, blocks),
+            sc.covariate_compare(moments, effects, ("Z1",), ())]
+    return {type(x).__name__: x for x in held}
+
+
+@pytest.mark.parametrize("name", ["StructuralModel", "MomentSummary", "EffectSummary",
+                                  "RegressionBlocks", "ControlPlan", "Dataset", "PlanEffect",
+                                  "OptimalGains", "CovariateComparison"])
+def test_array_holders_compare_and_hash_by_identity(name):
+    """An array has no truth value, so these classes compare and hash by identity."""
+    x = _array_holders()[name]
+    twin = dataclasses.replace(x)
+    assert x == x and x != twin
+    assert len({x, twin}) == 2
+
+
 def _with_coefficients(matrix: np.ndarray) -> sc.StructuralModel:
     """The model on V0, V1, ... whose coefficients are ``matrix``, an edge per nonzero."""
     n = len(matrix)
@@ -468,6 +493,22 @@ def planted_radius_matrices(draw):
     return s @ t @ np.linalg.inv(s)
 
 
+def _unstable_matrix(kind: str, rho: float) -> np.ndarray:
+    """A 40 x 40 dense matrix with a zero diagonal, a quarter-turn rotation or a 3-cycle, of
+    spectral radius ``rho``.  A quarter-turn rotation's trace cancels, though its square's
+    does not; every power A^(2^k) of a 3-cycle has zero trace, so only the cap or an overflow
+    ends its squaring, while a dense matrix's trace soon ends it."""
+    if kind == "dense":
+        m = np.random.default_rng(0).normal(size=(40, 40))
+        np.fill_diagonal(m, 0.0)
+        return m * (rho / np.abs(np.linalg.eigvals(m)).max())
+    if kind == "rotation":
+        return np.array([[0.0, -rho], [rho, 0.0]])
+    m = np.zeros((3, 3))
+    m[[1, 2, 0], [0, 1, 2]] = rho
+    return m
+
+
 class TestCertificate:
     """``StructuralModel.certified_stable`` proves stability without an eigen-solve, and
     never where the eigen gate would refuse."""
@@ -494,6 +535,15 @@ class TestCertificate:
                                        property(lambda self: False)):
                     assert run_command(argv) == certified
 
+    @given(planted_radius_matrices())
+    @example(_unstable_matrix("dense", 1.2))
+    @example(_unstable_matrix("rotation", 1.5))
+    @example(_unstable_matrix("cycle", 2.0))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_stable_is_the_eigen_gate(self, matrix):
+        model = _with_coefficients(matrix)
+        assert model.stable is sc.model.is_stable(sc.spectral_radius(matrix))
+
     @pytest.mark.parametrize("rho, certified", [(0.0, True), (0.5, True), (0.9, True),
                                                 (1.0 - 1e-8, False), (1.0, False), (2.0, False)])
     def test_random_dense_matrices(self, rng, rho, certified):
@@ -503,21 +553,9 @@ class TestCertificate:
 
     @pytest.mark.parametrize("kind, rho", [("dense", 1.2), ("dense", 2.0), ("rotation", 1.5),
                                            ("cycle", 2.0), ("cycle", 1.0 + 1e-9)])
-    def test_an_unstable_model_is_not_certified_and_keeps_its_gate(self, rng, tmp_path, capsys,
+    def test_an_unstable_model_is_not_certified_and_keeps_its_gate(self, tmp_path, capsys,
                                                                     kind, rho):
-        # a quarter-turn rotation's trace cancels, though its square's does not; every
-        # power A^(2^k) of a 3-cycle has zero trace, so only the cap or an overflow ends
-        # its squaring, while a dense matrix's trace soon ends it
-        if kind == "dense":
-            m = rng.normal(size=(40, 40))
-            np.fill_diagonal(m, 0.0)
-            m *= rho / np.abs(np.linalg.eigvals(m)).max()
-        elif kind == "rotation":
-            m = np.array([[0.0, -rho], [rho, 0.0]])
-        else:
-            m = np.zeros((3, 3))
-            m[[1, 2, 0], [0, 1, 2]] = rho
-        model = _with_coefficients(m)
+        model = _with_coefficients(_unstable_matrix(kind, rho))
         assert model.certified_stable is False
         path = tmp_path / "model.json"
         sc.save_model(model, path)
