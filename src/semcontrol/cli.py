@@ -285,12 +285,15 @@ def _cmd_stability(args):
                    "spectral_radius_feedback_block": rep.feedback_radius}
     else:
         results = {"spectral_radius": spectral_radius(model)}
-    # the largest radius is also the larger block radius, so both forms share a margin
-    results.update(stable=model.stable, margin=1.0 - spectral_radius(model))
+    # the largest radius is also the larger block radius, so both forms share a margin;
+    # taking it before ``stable`` spares a stable model the certificate
+    margin = 1.0 - spectral_radius(model)
+    stable = model.stable
+    results.update(stable=stable, margin=margin)
     report = Report("stability", inputs=analysis.inputs, results=results)
-    if not model.stable:
+    if not stable:
         report.warnings.append("model is not stable: some spectral radius is not below 1")
-    return report, (0 if model.stable else 2)
+    return report, (0 if stable else 2)
 
 
 def _cmd_effects(args):

@@ -15,6 +15,8 @@ chunks may be generated in parallel.
 from __future__ import annotations
 
 import json
+import sys
+import types
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,17 +65,43 @@ def _uniform_rows(seed: int, n_cols: int, start: int, stop: int) -> np.ndarray:
     return u[:, :n_cols]
 
 
+def _ndtri():
+    """scipy's public ``ndtri`` ufunc, without running ``scipy/special/__init__.py``.
+
+    That ``__init__`` loads scipy's array-API layer, most of a small ``simulate``'s time.
+    The ufunc's extension module, ``scipy.special._ufuncs``, loads alone under a bare
+    stand-in for the package, removed at once; a later ``import scipy.special`` reuses
+    that module, so its ``ndtri`` is this object.  Any failure, as from a scipy that
+    moves ``_ufuncs``, falls back to the public import.
+    """
+    if "scipy.special" not in sys.modules:
+        try:
+            import scipy
+
+            stand_in = types.ModuleType("scipy.special")
+            stand_in.__path__ = [str(Path(scipy.__file__).parent / "special")]
+            sys.modules["scipy.special"] = stand_in
+            try:
+                from scipy.special._ufuncs import ndtri
+            finally:
+                if sys.modules.get("scipy.special") is stand_in:
+                    del sys.modules["scipy.special"]
+            return ndtri
+        except Exception:  # the public import reports a fault that is not the shortcut's
+            pass
+    from scipy.special import ndtri
+
+    return ndtri
+
+
 def _disturbances(model: StructuralModel, config: SimulationConfig,
                   start: int, stop: int) -> np.ndarray:
     u = _uniform_rows(config.seed, model.n_variables, start, stop)
     scale = np.sqrt(model.disturbance_variances)
     if config.law == "gaussian":
-        # imported here so that only Gaussian draws pay for loading scipy
-        from scipy.special import ndtri
-
         # random() can return exactly 0, which ndtri maps to -inf
         u = np.where(u == 0.0, 2.0**-54, u)
-        return ndtri(u) * scale
+        return _ndtri()(u) * scale
     return (u - 0.5) * (scale * np.sqrt(12.0))
 
 

@@ -750,6 +750,20 @@ class TestLargeCertifiedModel:
         assert run_command([*argv, "--model", large_model_file]) == 0
         assert calls == {"eigvals": solves}
 
+    def test_stability_runs_no_certificate(self, large_model_file, monkeypatch, capsys):
+        """``stability`` searches the components before it reads ``stable``, so it never
+        pays for the certificate; ``effects`` still proves stability with no eigen-solve."""
+        proofs = []
+        certificate = sc.StructuralModel.certified_stable.func
+        monkeypatch.setattr(sc.StructuralModel, "certified_stable",
+                            property(lambda self: proofs.append(1) or certificate(self)))
+        argv = ["--model", large_model_file, "--treatment", "X", "--response", "Y"]
+        assert run_command(["stability", *argv]) == 0
+        assert proofs == []
+        calls = TestComputeOnce.count(monkeypatch, np.linalg, "eigvals")
+        assert run_command(["effects", *argv]) == 0
+        assert calls == {"eigvals": 0} and proofs
+
 
 class TestReports:
     def test_json_report_round_trips(self, model_file, capsys):

@@ -322,3 +322,77 @@ def test_only_gaussian_draws_import_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def _run_script(tmp_path, script: str, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this package's source tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(Path(sc.__file__).parent.parent), *map(str, args)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result
+
+
+def test_gaussian_draws_never_load_the_worker_pool(tmp_path):
+    """A Gaussian ``simulate`` and an ``estimate`` of its CSV leave multiprocessing unloaded,
+    as the draw loads scipy's ``ndtri`` ufunc module and not the ``scipy.special`` package."""
+    model = tmp_path / "model.json"
+    sc.save_model(sc.iverson_model(), model)
+    _run_script(tmp_path, (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import semcontrol.cli as cli\n"
+        "assert cli.run_command(['simulate', '--model', sys.argv[2], '--n', '2000',\n"
+        "                        '--out', sys.argv[3]]) == 0\n"
+        "assert cli.run_command(['estimate', '--data', sys.argv[3], '--treatment', 'X',\n"
+        "                        '--response', 'Y', '--instruments', 'Z3']) == 0\n"
+        "assert not {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+    ), model, tmp_path / "draws.csv")
+
+
+class TestNdtriLoader:
+    """Gaussian draws load only ``scipy.special._ufuncs``, and get the public ``ndtri``."""
+
+    def test_is_the_public_ufunc_before_and_after_importing_scipy_special(self, tmp_path):
+        _run_script(tmp_path, (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from semcontrol.simulate import _ndtri\n"
+            "ndtri = _ndtri()\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            "import scipy.special\n"
+            "assert ndtri is scipy.special.ndtri is _ndtri()\n"
+        ))
+
+    def test_gaussian_simulate_leaves_the_package_unloaded(self, tmp_path):
+        model = tmp_path / "model.json"
+        sc.save_model(sc.iverson_model(), model)
+        _run_script(tmp_path, (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import semcontrol.cli as cli\n"
+            "assert cli.run_command(['simulate', '--model', sys.argv[2], '--n', '5',\n"
+            "                        '--out', sys.argv[3]]) == 0\n"
+            "assert 'scipy' in sys.modules\n"
+            "assert not {'scipy.special', 'scipy._lib._array_api'} & set(sys.modules)\n"
+        ), model, tmp_path / "draws.csv")
+
+    def test_a_failed_fast_path_falls_back_to_the_public_import(self, tmp_path):
+        """A ``_ufuncs`` that cannot load under the stand-in leaves the same bits, and the
+        real package, not the stand-in, in ``sys.modules``."""
+        result = _run_script(tmp_path, (
+            "import json, sys; sys.path.insert(0, sys.argv[1])\n"
+            "import semcontrol as sc\n"
+            "refused = []\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path, target=None):\n"
+            "        package = sys.modules.get('scipy.special')\n"
+            "        if name == 'scipy.special._ufuncs' and not hasattr(package, '__file__'):\n"
+            "            refused.append(name)\n"
+            "            raise ImportError(name)\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "data = sc.draw_equilibrium(sc.iverson_model(), sc.SimulationConfig(5, seed=0))\n"
+            "assert refused\n"
+            "assert sys.modules['scipy.special'].__file__.endswith('__init__.py')\n"
+            "print(json.dumps([[float(v).hex() for v in row] for row in data.rows[:2]]))\n"
+        ))
+        assert json.loads(result.stdout) == TestSeededBits.GOLDEN["gaussian"]
