@@ -50,7 +50,6 @@ from .errors import (
     ZeroTotalEffect,
 )
 from .estimation import (
-    Dataset,
     IVEstimate,
     iv_estimate,
     iverson_model,
@@ -74,6 +73,7 @@ from .model import (
 )
 from .simulate import (
     RNG_ALGORITHM,
+    Dataset,
     SimulationConfig,
     draw_equilibrium,
     iterate_equilibrium,

@@ -23,7 +23,6 @@ from .control import ControlPlan, PlanSpec, load_plan, optimal_b, plan_variance,
 from .effects import EffectSummary, RegressionBlocks, implied_moments, total_effects
 from .errors import InputFormatError, SemControlError, UnstableModel, UnstableModelWarning
 from .estimation import (
-    Dataset,
     iv_estimate,
     iverson_model,
     iverson_moments,
@@ -34,13 +33,14 @@ from .estimation import (
 from .model import (
     _write_whole,
     check_stability,
+    is_stable,
     load_model,
     model_hash,
     partition_vertices,
     spectral_radius,
     validate_model,
 )
-from .simulate import SimulationConfig, draw_equilibrium, save_run, simulate_plan
+from .simulate import Dataset, SimulationConfig, draw_equilibrium, save_run, simulate_plan
 
 
 class UsageError(Exception):
@@ -285,11 +285,10 @@ def _cmd_stability(args):
                    "spectral_radius_feedback_block": rep.feedback_radius}
     else:
         results = {"spectral_radius": spectral_radius(model)}
-    # the largest radius is also the larger block radius, so both forms share a margin;
-    # taking it before ``stable`` spares a stable model the certificate
-    margin = 1.0 - spectral_radius(model)
-    stable = model.stable
-    results.update(stable=stable, margin=margin)
+    # the largest radius is also the larger block radius, so both forms share a margin
+    radius = spectral_radius(model)
+    stable = is_stable(radius)
+    results.update(stable=stable, margin=1.0 - radius)
     report = Report("stability", inputs=analysis.inputs, results=results)
     if not stable:
         report.warnings.append("model is not stable: some spectral radius is not below 1")

@@ -254,10 +254,7 @@ class StructuralModel:
     @property
     def stable(self) -> bool:
         """Whether the spectral radius is below ``1 - STABILITY_TOL``, by the certificate or
-        else by the component search; every stability gate of the package reads this.
-        Once a command has searched the components, a stable radius skips the certificate."""
-        if "_components" in self.__dict__ and is_stable(spectral_radius(self)):
-            return True
+        else by the component search; every stability gate of the package reads this."""
         return self.certified_stable or is_stable(spectral_radius(self))
 
     @classmethod

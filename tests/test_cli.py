@@ -764,6 +764,22 @@ class TestLargeCertifiedModel:
         assert run_command(["effects", *argv]) == 0
         assert calls == {"eigvals": 0} and proofs
 
+    @pytest.mark.parametrize("partition", [[], ["--treatment", "X", "--response", "Y"]],
+                             ids=["whole-matrix", "blocks"])
+    def test_stability_refusal_runs_no_certificate(self, unstable_model_file, monkeypatch,
+                                                    capsys, partition):
+        """``stability`` decides from the radius it reports, so an unstable model is refused
+        without the certificate; a gated command on the same model still runs it once."""
+        proofs = []
+        certificate = sc.StructuralModel.certified_stable.func
+        monkeypatch.setattr(sc.StructuralModel, "certified_stable",
+                            property(lambda self: proofs.append(1) or certificate(self)))
+        assert run_command(["stability", "--model", unstable_model_file, *partition]) == 2
+        assert proofs == []
+        assert run_command(["effects", "--model", unstable_model_file,
+                            "--treatment", "X", "--response", "Y"]) == 2
+        assert proofs == [1]
+
 
 class TestReports:
     def test_json_report_round_trips(self, model_file, capsys):

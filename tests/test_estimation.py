@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import semcontrol as sc
-from semcontrol import estimation
+from semcontrol import estimation, simulate
 from semcontrol.cli import run_command
 
 
@@ -129,6 +129,29 @@ class TestDataset:
         assert np.array_equal(data.rows, rows)
         assert peak < 1.5 * rows.nbytes
 
+    def test_a_read_in_segments_holds_its_rows_once(self, tmp_path, pools, monkeypatch):
+        # about 37 segments, each appended to the rows as it arrives; the pool's modules
+        # are loaded before tracing, so that the bound measures the rows
+        import concurrent.futures  # noqa: F401
+        import multiprocessing  # noqa: F401
+        rows = np.random.default_rng(6).normal(size=(100_000, 5))
+        path = tmp_path / "draws.csv"
+        sc.Dataset(tuple("ABCDE"), rows).to_csv(path)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 2**18)
+        tracemalloc.start()
+        try:
+            data = sc.Dataset.from_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pools == [2, 2]  # the write's two blocks, then the read's segments
+        assert np.array_equal(data.rows, rows)
+        assert peak < 1.5 * rows.nbytes
+
+    def test_three_names_are_one_class(self):
+        """The table lives in ``simulate``; ``estimation`` and the package re-export it."""
+        assert estimation.Dataset is simulate.Dataset is sc.Dataset
+
 
 def _reference_to_csv(data, path):
     """The row-at-a-time writer that Dataset.to_csv must match byte for byte."""
@@ -169,12 +192,12 @@ class TestCsvFormat:
         values = data.draw(arrays(float, (n, width), elements=st.one_of(
             st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))))
         dataset = sc.Dataset(tuple(f"v{j}" for j in range(width)), values)
-        with mock.patch.object(estimation, "_CSV_BLOCK_CELLS", block_cells):
+        with mock.patch.object(simulate, "_CSV_BLOCK_CELLS", block_cells):
             _assert_round_trip(tmp_path_factory.mktemp("csv"), dataset)
 
     @pytest.mark.parametrize("width, extra", [(600, -1), (600, 1), (5, 1)])
     def test_writer_matches_row_writer_at_the_block_size(self, tmp_path, width, extra):
-        n = estimation._CSV_BLOCK_CELLS // width + extra
+        n = simulate._CSV_BLOCK_CELLS // width + extra
         values = np.random.default_rng(width).standard_normal((n, width))
         values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
         _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(width)), values))
@@ -204,21 +227,21 @@ class TestCsvFormat:
         for family in families:
             values = np.asarray(family, dtype=float)
             values *= rng.choice([-1.0, 1.0], len(values))
-            # 7 cells a row put the edges of the sub-chunks mid-row
+            # 7 cells a row: each sub-chunk is 1170 whole rows, 8190 cells, not 2^13
             block = np.resize(values, (-(-len(values) // 7), 7))
             expected = (("%r,%r,%r,%r,%r,%r,%r\r\n" * len(block))
                         % tuple(block.ravel().tolist())).encode()
-            got = estimation._csv_lines(block)
+            got = simulate._csv_lines(block)
             if got != expected:
                 rows = [(a, b) for a, b in zip(got.split(b"\r\n"), expected.split(b"\r\n"))
                         if a != b]
                 pytest.fail(f"first differing row: {rows[0]}")
 
     def test_a_block_is_formatted_in_memory_bounded_by_its_text(self):
-        block = np.random.default_rng(16).standard_normal((estimation._CSV_BLOCK_CELLS // 8, 8))
+        block = np.random.default_rng(16).standard_normal((simulate._CSV_BLOCK_CELLS // 8, 8))
         tracemalloc.start()
         try:
-            text = estimation._csv_lines(block)
+            text = simulate._csv_lines(block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -330,13 +353,13 @@ def pools(monkeypatch):
         pytest.skip("the worker pool forks")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     started = []
-    in_workers = estimation._in_workers
+    in_workers = simulate._in_workers
 
     def spy(work, items, workers):
         started.append(workers)
         return in_workers(work, items, workers)
 
-    monkeypatch.setattr(estimation, "_in_workers", spy)
+    monkeypatch.setattr(simulate, "_in_workers", spy)
     return started
 
 
@@ -351,7 +374,7 @@ def _outcome(path):
 
 def _single_pass_outcome(path, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(estimation, "_fork_map", lambda work, items: None)
+        patch.setattr(simulate, "_fork_map", lambda work, items: None)
         return _outcome(path)
 
 
@@ -368,7 +391,7 @@ class TestParallelCsv:
     with the bytes and bits of the single pass."""
 
     def test_pool_writer_matches_row_writer(self, tmp_path, pools, monkeypatch):
-        monkeypatch.setattr(estimation, "_CSV_BLOCK_CELLS", 40)
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)
         values = np.random.default_rng(3).standard_normal((301, 7))
         values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
         _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
@@ -390,7 +413,7 @@ class TestParallelCsv:
         path = tmp_path / "obs.csv"
         sc.Dataset(columns, values).to_csv(path)
         path.write_bytes(edit(path.read_bytes().decode()).encode())
-        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 256)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 256)
         assert _outcome(path) == (columns, values.tobytes())
         assert pools == ([2] if started else [])
         assert _single_pass_outcome(path, monkeypatch) == (columns, values.tobytes())
@@ -406,7 +429,7 @@ class TestParallelCsv:
                                                          monkeypatch, cell, fault):
         path = tmp_path / "obs.csv"
         path.write_bytes(_with_row("", _HEADER) + f"1,{cell},3\r\n".encode())
-        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 64)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
         message = f"{path}:42: {fault}"
         assert _outcome(path) == ("InputFormatError", message)
         assert pools == [2]
@@ -419,7 +442,7 @@ class TestParallelCsv:
         path = tmp_path / "obs.csv"
         path.write_bytes((_HEADER + "100,200,300000\r\n" * 20
                           + "1,20,300,40000\r\n" * 20).encode())
-        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 64)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
         assert _outcome(path) == ("InputFormatError", f"{path}:22: ragged row")
         assert pools == [2]
 
@@ -441,7 +464,7 @@ class TestParallelCsv:
                                                              monkeypatch, text, started):
         path = tmp_path / "obs.csv"
         path.write_bytes(text)
-        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 64)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
         parallel = _outcome(path)
         assert pools == ([2] if started else [])
         assert parallel == _single_pass_outcome(path, monkeypatch)
@@ -452,8 +475,8 @@ class TestParallelCsv:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         else:
             monkeypatch.delattr(os, "fork")
-        monkeypatch.setattr(estimation, "_CSV_BLOCK_CELLS", 40)
-        monkeypatch.setattr(estimation, "_CSV_SEGMENT_BYTES", 256)
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 256)
         values = np.random.default_rng(5).standard_normal((301, 7))
         _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
         assert pools == []
@@ -478,11 +501,11 @@ class TestParallelCsv:
                  "--instruments", "Z"])
         script = (
             "import os, sys; sys.path.insert(0, sys.argv[1])\n"
-            "from semcontrol import cli, estimation\n"
+            "from semcontrol import cli, simulate\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "estimation._CSV_BLOCK_CELLS = 40\n"
-            "estimation._CSV_SEGMENT_BYTES = 64\n"
-            f"estimation.{patch}\n"
+            "simulate._CSV_BLOCK_CELLS = 40\n"
+            "simulate._CSV_SEGMENT_BYTES = 64\n"
+            f"simulate.{patch}\n"
             "sys.exit(cli.run_command(sys.argv[2:]))\n"
         )
         result = subprocess.run(

@@ -271,18 +271,18 @@ def test_small_commands_never_load_the_worker_pool(tmp_path):
     script = (
         "import os, sys; sys.path.insert(0, sys.argv[1])\n"
         "import semcontrol.cli as cli\n"
-        "from semcontrol import estimation\n"
+        "from semcontrol import simulate\n"
         "def pool(): return {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
         "assert not pool(), 'import'\n"
-        "simulate = ['simulate', '--model', sys.argv[2], '--n', '2000', '--law', 'uniform',\n"
-        "            '--out', sys.argv[3]]\n"
-        "assert cli.run_command(simulate) == 0\n"
+        "draw = ['simulate', '--model', sys.argv[2], '--n', '2000', '--law', 'uniform',\n"
+        "        '--out', sys.argv[3]]\n"
+        "assert cli.run_command(draw) == 0\n"
         "assert cli.run_command(['estimate', '--data', sys.argv[3], '--treatment', 'X',\n"
         "                        '--response', 'Y', '--instruments', 'Z3']) == 0\n"
         "assert not pool(), 'simulate and estimate'\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
-        "estimation._CSV_BLOCK_CELLS = 1000\n"
-        "assert cli.run_command(simulate) == 0\n"
+        "simulate._CSV_BLOCK_CELLS = 1000\n"
+        "assert cli.run_command(draw) == 0\n"
         "assert pool(), 'a CSV of several blocks'\n"
     )
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
