@@ -12,7 +12,6 @@ assertion; only the numeric conditions (relevance, rank) are checked here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -182,10 +181,9 @@ def load_covariance(path: str | Path) -> MomentSummary:
 def _fixture(name: str) -> dict:
     """A bundled JSON fixture, read in place so that zipped installs work too."""
     try:
-        text = resources.files("semcontrol").joinpath("data", name).read_text()
+        return _read_json(resources.files("semcontrol").joinpath("data", name))
     except (FileNotFoundError, ModuleNotFoundError):
         raise MissingFixture(f"bundled fixture {name!r} not found") from None
-    return json.loads(text)
 
 
 def iverson_moments() -> MomentSummary:

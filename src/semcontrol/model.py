@@ -618,17 +618,18 @@ def model_to_dict(model: StructuralModel) -> dict:
     }
 
 
-def _read_json(path: str | Path):
-    """The JSON value in a model, plan or covariance file."""
+def _read_json(path):
+    """The JSON value of a model, plan, covariance or fixture file, decoded as UTF-8."""
+    data = (Path(path) if isinstance(path, str) else path).read_bytes()  # or a Traversable
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8-sig"))  # whatever the locale; a BOM is dropped
+    except (ValueError, RecursionError) as exc:  # a bad byte or token, or too deep a nesting
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
 
 
 @contextmanager
 def _write_whole(path: str | Path, newline: str | None = None):
-    """A text handle whose content replaces ``path`` once the block ends without an error.
+    """A UTF-8 text handle whose content replaces ``path`` once the block ends without an error.
 
     The text goes to a new file beside ``path`` that is then renamed over it, so
     ``path`` ends up whole or as it was.  An ``OSError`` names ``path``.  A terminal or
@@ -636,14 +637,14 @@ def _write_whole(path: str | Path, newline: str | None = None):
     """
     path = Path(path)
     if path.is_char_device() or path.is_fifo():
-        with open(path, "w", newline=newline) as fh:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
             yield fh
         return
     tmp = str(path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp"))
     try:
         if path.is_dir():  # refused before the block's work rather than at the rename
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fh = open(tmp, "x", newline=newline)
+        fh = open(tmp, "x", newline=newline, encoding="utf-8")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:

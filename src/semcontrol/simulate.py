@@ -285,7 +285,10 @@ class Dataset:
         naming its first bad line.  A file of several segments is parsed by
         forked workers, one segment each (:func:`_read_segments`).
         """
-        header, rows = _read_segments(path) or _read_whole(path)
+        try:
+            header, rows = _read_segments(path) or _read_whole(path)
+        except csv.Error as exc:  # only the header is read by csv: a field over its limit
+            raise InputFormatError(f"{path}:1: {exc}") from None
         if rows is not None and not rows.size:
             raise InputFormatError(f"{path}: no data rows")
         if rows is None or rows.shape[1] != len(header):
@@ -364,15 +367,11 @@ def _format_cells(x: np.ndarray, width: int, masks: np.ndarray) -> bytes:
     :func:`_shortest` are and-ed; a ``repr`` goes over the start of the slot.  Deleting
     the zero bytes and the padding of the ``repr`` strings leaves the text.
     """
-    n = len(x)
-    a = np.abs(x)
-    exact = (a >= 1e-4) & (a < 1e16)
-    if exact.all():
-        digits, k, p = _shortest(a)
-    else:  # digits 0, k 0 and p 1 spell 0.0; p 0 leaves the cell to repr
-        digits, k, p = np.zeros(n, np.int64), np.zeros(n, np.int32), (a == 0).astype(np.int64)
-        at = np.flatnonzero(exact)
-        digits[at], k[at], p[at] = _shortest(a[at])
+    n, a = len(x), np.abs(x)
+    # digits 0, k 0 and p 1 spell 0.0; p 0 leaves the cell to repr
+    digits, k, p = np.zeros(n, np.int64), np.zeros(n, np.int32), (a == 0).astype(np.int64)
+    at = np.flatnonzero((a >= 1e-4) & (a < 1e16))
+    digits[at], k[at], p[at] = _shortest(a[at])
     end = np.arange(n) % width == width - 1
     slots = np.take(masks, ((np.signbit(x) * 2 + end) * 20 + k + 4) * 18 + p, axis=0)
     # the first of the 17 digits, then two words of 8 ASCII digits, the first in the
@@ -392,9 +391,8 @@ def _format_cells(x: np.ndarray, width: int, masks: np.ndarray) -> bytes:
     for offset, word in ((8, words[0]), (16, words[1]), (25, words[0]), (33, words[1])):
         slots[:, offset:offset + 8].view("<u8")[:, 0] &= word
     at = np.flatnonzero(p == 0)
-    if len(at):  # each repr padded with spaces to 24 characters, which no finite repr passes
-        text = ("%-24r" * len(at)) % tuple(x[at].tolist())
-        slots[at, :24] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+    text = ("%-24r" * len(at)) % tuple(x[at].tolist())  # 24 wide: no finite repr is longer
+    slots[at, :24] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
     return slots.tobytes().translate(None, b"\0 ")
 
 
@@ -514,7 +512,7 @@ def _loadtxt(lines) -> np.ndarray:
 
 def _read_whole(path) -> tuple[list[str], np.ndarray | None]:
     """A CSV file's header and its rows in one pass, or None for rows that fail to parse."""
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -640,22 +638,25 @@ def _csv_fault(path, width: int) -> str:
     cell only if ``loadtxt`` would, so ``1_000`` and non-ASCII digits, which
     Python's ``float`` reads, count as non-numeric.
     """
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         next(reader)
         start = reader.line_num + 1
-        for row in reader:  # a quoted cell may hold line ends: name the record's first line
-            lineno, start = start, reader.line_num + 1
-            if not row:
-                continue
-            if not _utf8(row):
-                return f"{path}:{lineno}: not valid UTF-8"
-            if len(row) != width:
-                return f"{path}:{lineno}: ragged row"
-            if not all(_is_number(cell) for cell in row):
-                return f"{path}:{lineno}: non-numeric or missing cell"
-            if not np.isfinite([float(cell) for cell in row]).all():
-                return f"{path}:{lineno}: non-finite cell"
+        try:
+            for row in reader:  # a quoted cell may hold line ends: name the record's first line
+                lineno, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                if not _utf8(row):
+                    return f"{path}:{lineno}: not valid UTF-8"
+                if len(row) != width:
+                    return f"{path}:{lineno}: ragged row"
+                if not all(_is_number(cell) for cell in row):
+                    return f"{path}:{lineno}: non-numeric or missing cell"
+                if not np.isfinite([float(cell) for cell in row]).all():
+                    return f"{path}:{lineno}: non-finite cell"
+        except csv.Error as exc:  # a field longer than csv.field_size_limit()
+            return f"{path}:{start}: {exc}"
     return f"{path}: unreadable CSV"
 
 

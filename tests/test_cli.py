@@ -969,17 +969,38 @@ class TestMalformedInput:
         ("plan", {"y": 1}, "unknown plan keys: ['y']"),
         ("plan", {"a": [1]}, "'a' must be an object of control name: gain"),
         ("plan", {"b": "best"}, "'b' must be an object of covariate name: gain or \"optimal\""),
+        pytest.param("model", b"[" * 100000, "invalid JSON in {path}: maximum recursion depth"
+                     " exceeded while decoding a JSON array from a unicode string",
+                     id="model-deep-nesting"),
+        pytest.param("model", b'{"variables": ["X\xe9"], "edges": []}', "invalid JSON in"
+                     " {path}: 'utf-8' codec can't decode byte 0xe9 in position 17: invalid"
+                     " continuation byte", id="model-latin-1-byte"),
+        pytest.param("plan", b"\xff", "invalid JSON in {path}: 'utf-8' codec can't decode byte"
+                     " 0xff in position 0: invalid start byte", id="plan-not-utf-8"),
     ])
     def test_file_envelope_fault_is_named(self, model_file, tmp_path, capsys, kind, payload,
                                           message):
-        path = write_json(tmp_path / f"{kind}.json", payload)
+        """A JSON value of the wrong shape, or raw bytes that do not decode as JSON."""
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
+        path = str(path)
         argv = {
             "model": ["validate", "--model", path],
             "cov": ["estimate", "--cov", path, *self.PART, "--instruments", "Z3"],
             "plan": ["plan-eval", "--model", model_file, *self.PART, "--plan", path],
         }[kind]
         assert run_command(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+
+    def test_byte_order_mark_is_ignored(self, model_file, tmp_path, capsys):
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(model_file).read_bytes())
+        reports = []
+        for path in (model_file, str(marked)):
+            assert run_command(["validate", "--model", path, "--format", "json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            reports.append((report["inputs"]["model_hash"], report["results"]))
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("command", ["plan-eval", "simulate"])
     @pytest.mark.parametrize("plan, message", [
@@ -1228,6 +1249,58 @@ class TestModelFileFaults:
                                           "--treatment", "X", "--response", "Y", "--x", "2"])
         assert code == 0
         assert payload["results"]["mean_y"] == 2.0 * float(coeff)
+
+
+class TestFileEncoding:
+    """Every file is read and written as UTF-8, whatever the locale says."""
+
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    @staticmethod
+    def python(cwd, env, *args) -> subprocess.CompletedProcess:
+        """Run this interpreter on ``args`` in ``cwd``, with ``env`` over the environment."""
+        env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).parent.parent), **env}
+        return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True,
+                              timeout=120)
+
+    def test_non_ascii_names_under_an_ascii_locale(self, tmp_path):
+        model = json.dumps({"variables": ["Y", "X", "Gr\u00f6\u00dfe"], "edges": [
+            {"from": "X", "to": "Y", "coeff": 0.5},
+            {"from": "Gr\u00f6\u00dfe", "to": "X", "coeff": 0.8},
+        ]}, ensure_ascii=False).encode()
+        outcomes = []
+        for name, env in (("utf-8", {"PYTHONUTF8": "1"}), ("ascii", self.ASCII_LOCALE)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            (cwd / "model.json").write_bytes(model)
+            runs = [self.python(cwd, env, "-m", "semcontrol.cli", *argv, "--format", "json")
+                    for argv in (["validate", "--model", "model.json"],
+                                 ["simulate", "--model", "model.json", "--n", "20",
+                                  "--out", "draws.csv"])]
+            assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+            written = [(cwd / f).read_bytes() for f in ("draws.csv", "draws.csv.meta.json")]
+            outcomes.append([run.stdout for run in runs] + written)
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[1][2].startswith("Y,X,Gr\u00f6\u00dfe\r\n".encode())
+
+    def test_no_file_is_read_or_written_in_the_locale_encoding(self, tmp_path, cov_file):
+        sc.save_model(sc.iverson_model(), tmp_path / "model.json")
+        write_json(tmp_path / "plan.json", {"x": 1.0, "b": "optimal"})
+        part = ["--treatment", "X", "--response", "Y"]
+        commands = [
+            ["validate", "--model", "model.json", "--out", "report.json"],
+            ["plan-eval", "--model", "model.json", "--cov", cov_file, "--plan", "plan.json",
+             *part, "--W", "Z1"],
+            ["simulate", "--model", "model.json", "--n", "50", "--out", "draws.csv"],
+            ["estimate", "--data", "draws.csv", *part, "--instruments", "Z3"],
+            ["reproduce-iverson"],
+        ]
+        script = ("import json, sys\n"
+                  "from semcontrol.cli import run_command\n"
+                  "sys.exit(max(run_command(argv) for argv in json.loads(sys.argv[1])))\n")
+        run = self.python(tmp_path, {}, "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning", "-c", script, json.dumps(commands))
+        assert (run.returncode, run.stderr) == (0, b"")
 
 
 class TestReproduceIverson:

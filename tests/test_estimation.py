@@ -272,8 +272,10 @@ class TestMalformedCsv:
         ("X,Y,Z\r1,2,3\r2,1,5\r4,4,1\r", _PARSED),
         (_HEADER + "1,2,3\r\n2,1,5\r\n4,4,1", _PARSED),
         (_HEADER + "1e0,+2,3.\r\n2,.1e1,5\r\n4,4,1\r\n", _PARSED),
+        ("\ufeff" + _HEADER + _ROWS, _PARSED),
+        (_HEADER + "1." + "0" * 200000 + ",2,3\r\n2,1,5\r\n4,4,1\r\n", _PARSED),
     ], ids=["blank-lines", "quoted", "padded", "lf", "bare-cr", "no-final-newline",
-            "number-forms"])
+            "number-forms", "byte-order-mark", "cell-over-the-csv-field-limit"])
     def test_accepted(self, tmp_path, capsys, text, parsed):
         path = tmp_path / "obs.csv"
         path.write_bytes(text.encode())
@@ -310,11 +312,18 @@ class TestMalformedCsv:
          "{path}:4: non-numeric or missing cell"),
         ('X,Y\r\n1,2\r\n"1\r\nx",2\r\n', sc.InputFormatError,
          "{path}:3: non-numeric or missing cell"),
+        ("X,Y,Z" + "Z" * 200000 + "\r\n" + _ROWS, sc.InputFormatError,
+         "{path}:1: field larger than field limit (131072)"),
+        (_HEADER + '"' + "9" * 200000 + '",2,3\r\n' + _ROWS, sc.InputFormatError,
+         "{path}:2: field larger than field limit (131072)"),
+        ('X,Y\r\n"1\r\n",2\r\n"' + "9" * 200000 + '",2\r\n', sc.InputFormatError,
+         "{path}:4: field larger than field limit (131072)"),
     ], ids=["empty", "header-only", "blank-only", "whitespace-line", "trailing-comma",
             "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell", "empty-cell",
             "quoted-comma", "hash-line", "hash-one-column", "nan", "overflow", "underscore",
             "arabic-indic-digit", "latin-1-cell", "latin-1-header", "after-a-quoted-line-end",
-            "spanning-lines"])
+            "spanning-lines", "header-over-the-field-limit", "infinite-cell-over-the-field-limit",
+            "field-limit-after-a-quoted-line-end"])
     def test_rejected(self, tmp_path, capsys, text, error, message):
         path = tmp_path / "obs.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -457,9 +466,11 @@ class TestParallelCsv:
         (_with_row("1,2,3\r\n", '"X\nA",Y,Z\r\n'), False),
         (_with_row("1,2,3\r\n", "X,Y,Z\u00e9\r\n"), False),
         (_with_row("1,2,3\r\n", "X,Y,Z\r"), False),
+        (_with_row("1,2,3\r\n", "X,Y,Z" + "Z" * 200000 + "\r\n"), True),
     ], ids=["quoted-cells", "quoted-line-ends-across-cuts", "quoted-text-across-cuts",
             "non-ascii-digit", "no-break-space", "latin-1-byte", "quoted-header",
-            "quoted-line-end-in-header", "non-ascii-header", "bare-cr-after-header"])
+            "quoted-line-end-in-header", "non-ascii-header", "bare-cr-after-header",
+            "header-over-the-field-limit"])
     def test_quotes_and_non_ascii_give_the_single_pass_result(self, tmp_path, pools,
                                                              monkeypatch, text, started):
         path = tmp_path / "obs.csv"

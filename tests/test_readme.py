@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_python_api_example_runs():
-    section = (ROOT / "README.md").read_text().split("## Python API in one example\n", 1)[1]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Python API in one example\n", 1)[1]
     example = re.match(r"\s*```python\n(.*?)```", section, re.DOTALL).group(1)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONPATH"] = str(Path(sc.__file__).parent.parent)
