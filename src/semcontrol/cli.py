@@ -576,22 +576,26 @@ def run_command(argv) -> int:
         else:
             _print(report.to_json() if args.format == "json" else report.to_text())
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        _print(f"usage error: {exc}", sys.stderr)
         return 1
     except (SemControlError, ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print(f"error: {exc}", sys.stderr)
         return 2
     return code
 
 
-def _print(text: str) -> None:
-    """Print a report to stdout; a reader that closed the pipe early is an ``OSError``."""
+def _print(text: str, stream=None) -> None:
+    """Print a line to stdout, or ``stream``, as UTF-8 whatever the locale, with a path's
+    undecodable bytes as they came; a reader that closed the pipe early is an ``OSError``."""
+    stream = stream or sys.stdout
     try:
-        print(text, flush=True)
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8", "surrogateescape") + b"\n")
+        stream.buffer.flush()
     except BrokenPipeError as exc:
-        # stdout now goes nowhere, so the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise OSError(exc.errno, exc.strerror, "<stdout>") from None
+        # the stream now goes nowhere, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise OSError(exc.errno, exc.strerror, stream.name) from None
 
 
 def main() -> None:

@@ -274,7 +274,7 @@ class Dataset:
         with _write_whole(path, newline="") as fh:
             csv.writer(fh).writerow(self.columns)
             fh.flush()  # the rows are bytes, written below the text layer
-            fh.buffer.writelines(_fork_map(block, starts) or map(block, starts))
+            fh.buffer.writelines(_fork_map(block, starts))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -282,8 +282,8 @@ class Dataset:
 
         Cells may be quoted and padded, blank lines are skipped, and nothing
         is a comment.  A malformed file raises :class:`InputFormatError`
-        naming its first bad line.  A file of several segments is parsed by
-        forked workers, one segment each (:func:`_read_segments`).
+        naming its first bad line.  A file of several segments is parsed a
+        segment at a time, by forked workers where they help (:func:`_read_segments`).
         """
         try:
             header, rows = _read_segments(path) or _read_whole(path)
@@ -526,33 +526,34 @@ def _read_whole(path) -> tuple[list[str], np.ndarray | None]:
 
 
 def _read_segments(path) -> tuple[list[str], np.ndarray] | None:
-    """A CSV file's header and rows, parsed by forked workers, or None unless this gives
-    exactly what :func:`_read_whole` gives.
+    """A CSV file's header and rows, parsed a segment at a time by :func:`_fork_map`, or
+    None, for the single pass to read or reject the file, unless this gives its result.
 
-    The data lines are cut after a ``\\n`` about every ``_CSV_SEGMENT_BYTES``.  None
-    when the file is one segment or :func:`_fork_map` declines, and when the header or
-    a segment holds a quote (a quoted cell may hold a line end) or a non-ASCII byte,
-    or a segment fails to parse: the single pass then reads, or rejects, the file.
+    The data lines are cut after a ``\\n`` about every ``_CSV_SEGMENT_BYTES``.  None for
+    one segment, a header that is not one ASCII line without a quote or a bare CR, a
+    segment that is not ASCII, holds an odd number of quotes or fails, or segments of
+    different widths.  In a segment that parses, every ``"`` opens or closes a quoted
+    cell: any other puts a ``"`` into its cell, which fails, as after padding (``1, "2"``),
+    in an unquoted cell (``7"8``) or doubled (``"1""2"``); ``"1"2`` reads as 12.  So a
+    segment with an even count ends outside quotes, and by induction from the header,
+    which has none, the single pass is outside quotes at every cut and reads the same
+    records.  An odd count may put a cut inside a quoted cell, and ``np.loadtxt`` accepts
+    one left open at the end of its input (``1,"2\\n`` reads as ``[[1, 2]]``).
     """
     with open(path, "rb") as fh:
         head = fh.readline()
         # a bare CR ends a line for csv.reader, but not for the cuts
-        if not head.endswith(b"\n") or not _plain(head) or b"\r" in head[:-2]:
+        if not head.endswith(b"\n") or not head.isascii() or b'"' in head or b"\r" in head[:-2]:
             return None
-        cuts = [fh.tell()]
-        while True:
+        cuts, end = [fh.tell()], fh.seek(0, os.SEEK_END)
+        while cuts[-1] < end:  # the last segment may be shorter
             fh.seek(cuts[-1] + _CSV_SEGMENT_BYTES)
-            if not fh.readline():  # past the end
-                break
-            cuts.append(fh.tell())
-        end = fh.seek(0, os.SEEK_END)
-    if cuts[-1] < end:  # the rest, shorter than a segment
-        cuts.append(end)
-    parts = _fork_map(functools.partial(_parse_segment, path), zip(cuts, cuts[1:]))
-    if parts is None:
+            fh.readline()
+            cuts.append(min(fh.tell(), end))
+    if len(cuts) < 3:  # one segment, which the single pass streams
         return None
     rows, widths = bytearray(), set()  # each part is appended and let go, not held to the end
-    for part in parts:
+    for part in _fork_map(functools.partial(_parse_segment, path), zip(cuts, cuts[1:])):
         if part is None:
             return None
         if len(part):  # a blank segment adds no width
@@ -563,18 +564,14 @@ def _read_segments(path) -> tuple[list[str], np.ndarray] | None:
     return next(csv.reader([head.decode()])), np.frombuffer(rows).reshape(-1, widths.pop())
 
 
-def _plain(data: bytes) -> bool:
-    return data.isascii() and b'"' not in data
-
-
 def _parse_segment(path, span: tuple[int, int]) -> np.ndarray | None:
     """``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file, or None unless
-    they are plain ASCII without quotes and parse."""
+    they are ASCII with an even number of quotes and parse."""
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    if not _plain(data):
+    if not data.isascii() or b'"' in data and data.count(b'"') % 2:
         return None
     try:
         return _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=""))
@@ -582,9 +579,9 @@ def _parse_segment(path, span: tuple[int, int]) -> np.ndarray | None:
         return None
 
 
-def _fork_map(work, items) -> Iterator | None:
-    """``map(work, items)`` computed by forked worker processes, or None where they
-    cannot help: fewer than two items or usable CPUs, or no ``fork``.
+def _fork_map(work, items) -> Iterator:
+    """``map(work, items)``, computed by forked worker processes where they can help:
+    two or more items and usable CPUs, and ``fork``.  Elsewhere it is that ``map``.
 
     Each worker inherits ``work`` and the data that it reads through the fork, so only
     the items and the results are pickled.  There are ``min(usable CPUs, items)``
@@ -594,7 +591,7 @@ def _fork_map(work, items) -> Iterator | None:
     items = list(items)
     usable = getattr(os, "sched_getaffinity", None)
     workers = min(len(usable(0)), len(items)) if usable and hasattr(os, "fork") else 1
-    return _in_workers(work, items, workers) if workers > 1 else None
+    return _in_workers(work, items, workers) if workers > 1 else map(work, items)
 
 
 def _in_workers(work, items: list, workers: int):

@@ -1264,24 +1264,36 @@ class TestFileEncoding:
                               timeout=120)
 
     def test_non_ascii_names_under_an_ascii_locale(self, tmp_path):
-        model = json.dumps({"variables": ["Y", "X", "Gr\u00f6\u00dfe"], "edges": [
+        # reports and error lines are UTF-8 too, in text form as in JSON
+        name = "Gr\u00f6\u00dfe"
+        model = json.dumps({"variables": ["Y", "X", name], "edges": [
             {"from": "X", "to": "Y", "coeff": 0.5},
-            {"from": "Gr\u00f6\u00dfe", "to": "X", "coeff": 0.8},
+            {"from": name, "to": "X", "coeff": 0.8},
+        ]}, ensure_ascii=False).encode()
+        self_loop = json.dumps({"variables": ["Y", "X", name], "edges": [
+            {"from": name, "to": name, "coeff": 0.5},
         ]}, ensure_ascii=False).encode()
         outcomes = []
-        for name, env in (("utf-8", {"PYTHONUTF8": "1"}), ("ascii", self.ASCII_LOCALE)):
-            cwd = tmp_path / name
+        for locale, env in (("utf-8", {"PYTHONUTF8": "1"}), ("ascii", self.ASCII_LOCALE)):
+            cwd = tmp_path / locale
             cwd.mkdir()
             (cwd / "model.json").write_bytes(model)
-            runs = [self.python(cwd, env, "-m", "semcontrol.cli", *argv, "--format", "json")
-                    for argv in (["validate", "--model", "model.json"],
+            (cwd / "loop.json").write_bytes(self_loop)
+            runs = [self.python(cwd, env, "-m", "semcontrol.cli", *argv)
+                    for argv in (["validate", "--model", "model.json", "--format", "json"],
                                  ["simulate", "--model", "model.json", "--n", "20",
-                                  "--out", "draws.csv"])]
-            assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+                                  "--out", "draws.csv", "--format", "json"],
+                                 ["simulate", "--model", "model.json", "--n", "20",
+                                  "--out", "text.csv"],
+                                 ["effects", "--model", "loop.json", "--treatment", "X",
+                                  "--response", "Y"])]
+            assert [(run.returncode, run.stderr) for run in runs[:3]] == [(0, b"")] * 3
+            assert runs[3].returncode == 2 and name.encode() in runs[3].stderr
+            assert name.encode() in runs[2].stdout
             written = [(cwd / f).read_bytes() for f in ("draws.csv", "draws.csv.meta.json")]
-            outcomes.append([run.stdout for run in runs] + written)
+            outcomes.append([(run.returncode, run.stdout, run.stderr) for run in runs] + written)
         assert outcomes[0] == outcomes[1]
-        assert outcomes[1][2].startswith("Y,X,Gr\u00f6\u00dfe\r\n".encode())
+        assert outcomes[1][4].startswith(f"Y,X,{name}\r\n".encode())
 
     def test_no_file_is_read_or_written_in_the_locale_encoding(self, tmp_path, cov_file):
         sc.save_model(sc.iverson_model(), tmp_path / "model.json")

@@ -294,6 +294,22 @@ class TestPlanVariance:
         ).response_variance
         assert v0 == pytest.approx(v1, abs=1e-14)
 
+    @pytest.mark.parametrize("plan, message", [
+        (sc.ControlPlan(0.0, [0.1, 0.2], [0.0]),
+         "plan feedback has length 2, partition has 1 controls"),
+        (sc.ControlPlan(0.0, [0.1], []),
+         "plan covariate gains have length 0, partition has 1 covariates"),
+    ], ids=["two-feedback-gains", "no-covariate-gain"])
+    def test_plan_of_another_shape_is_refused(self, iverson_model, iverson_moments, plan,
+                                               message):
+        part = sc.partition_vertices(iverson_model, "X", "Y", covariates=["Z1"])
+        effects = sc.total_effects(iverson_model, part)
+        blocks = sc.RegressionBlocks.from_moments(iverson_moments, part)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sc.plan_variance(iverson_moments, effects, blocks, plan)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sc.apply_plan(iverson_model, part, plan)
+
 
 class TestSurgeryConsistency:
     @pytest.mark.parametrize("seed", [1, 2, 8, 15, 23])

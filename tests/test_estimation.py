@@ -295,6 +295,8 @@ class TestMalformedCsv:
         ("X,Y\r\n" + _ROWS, sc.InputFormatError, "{path}:2: ragged row"),
         (_HEADER + "1,2,3\r\n2,abc,5\r\n", sc.InputFormatError,
          "{path}:3: non-numeric or missing cell"),
+        (_HEADER + "1,2,3\r\n\r\n2,abc,5\r\n", sc.InputFormatError,
+         "{path}:4: non-numeric or missing cell"),
         (_HEADER + "1,,3\r\n", sc.InputFormatError, "{path}:2: non-numeric or missing cell"),
         (_HEADER + '"1,5",2,3\r\n', sc.InputFormatError,
          "{path}:2: non-numeric or missing cell"),
@@ -319,7 +321,8 @@ class TestMalformedCsv:
         ('X,Y\r\n"1\r\n",2\r\n"' + "9" * 200000 + '",2\r\n', sc.InputFormatError,
          "{path}:4: field larger than field limit (131072)"),
     ], ids=["empty", "header-only", "blank-only", "whitespace-line", "trailing-comma",
-            "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell", "empty-cell",
+            "ragged-line-2", "ragged-line-3", "all-rows-wider", "text-cell",
+            "text-cell-after-a-blank-line", "empty-cell",
             "quoted-comma", "hash-line", "hash-one-column", "nan", "overflow", "underscore",
             "arabic-indic-digit", "latin-1-cell", "latin-1-header", "after-a-quoted-line-end",
             "spanning-lines", "header-over-the-field-limit", "infinite-cell-over-the-field-limit",
@@ -383,8 +386,39 @@ def _outcome(path):
 
 def _single_pass_outcome(path, monkeypatch):
     with monkeypatch.context() as patch:
-        patch.setattr(simulate, "_fork_map", lambda work, items: None)
+        patch.setattr(simulate, "_read_segments", lambda path: None)
         return _outcome(path)
+
+
+@pytest.fixture
+def route(tmp_path, monkeypatch):
+    """The route that Dataset.from_csv takes: ``route()`` gives the spans that
+    ``_parse_segment`` read, in this process or a forked worker, and whether
+    ``_read_whole`` ran, since the last call."""
+    log, whole = tmp_path / "spans.log", []
+    parse, read_whole = simulate._parse_segment, simulate._read_whole
+
+    def parse_spy(path, span):
+        with open(log, "a") as fh:  # a forked worker's list would stay in the worker
+            fh.write(f"{span[0]} {span[1]}\n")
+        return parse(path, span)
+
+    def whole_spy(path):
+        whole.append(path)
+        return read_whole(path)
+
+    monkeypatch.setattr(simulate, "_parse_segment", parse_spy)
+    monkeypatch.setattr(simulate, "_read_whole", whole_spy)
+
+    def taken():
+        spans = sorted(tuple(map(int, line.split()))
+                       for line in (log.read_text() if log.exists() else "").splitlines())
+        log.unlink(missing_ok=True)
+        ran_whole = bool(whole)
+        whole.clear()
+        return spans, ran_whole
+
+    return taken
 
 
 _BODY = [f"{i},{i + 0.5},{-i}\r\n" for i in range(40)]
@@ -455,30 +489,80 @@ class TestParallelCsv:
         assert _outcome(path) == ("InputFormatError", f"{path}:22: ragged row")
         assert pools == [2]
 
-    @pytest.mark.parametrize("text, started", [
-        (_with_row('"1.5","2",3\r\n'), True),
-        (_with_row('1,"' + "\n" * 100 + '2",3\r\n'), True),
-        (_with_row('1,"1' + "\n" * 100 + '2",3\r\n'), True),
-        (_with_row("\u0661,2,3\r\n"), True),
-        (_with_row("1,\u00a02,3\r\n"), True),
-        (_with_row("1,2,3\r\n").replace(b"2,3\r\n", b"2\xe9,3\r\n", 1), True),
-        (_with_row("1,2,3\r\n", '"X","Y","Z"\r\n'), False),
-        (_with_row("1,2,3\r\n", '"X\nA",Y,Z\r\n'), False),
-        (_with_row("1,2,3\r\n", "X,Y,Z\u00e9\r\n"), False),
-        (_with_row("1,2,3\r\n", "X,Y,Z\r"), False),
-        (_with_row("1,2,3\r\n", "X,Y,Z" + "Z" * 200000 + "\r\n"), True),
-    ], ids=["quoted-cells", "quoted-line-ends-across-cuts", "quoted-text-across-cuts",
-            "non-ascii-digit", "no-break-space", "latin-1-byte", "quoted-header",
-            "quoted-line-end-in-header", "non-ascii-header", "bare-cr-after-header",
-            "header-over-the-field-limit"])
-    def test_quotes_and_non_ascii_give_the_single_pass_result(self, tmp_path, pools,
-                                                             monkeypatch, text, started):
+    @pytest.mark.parametrize("text, started, whole", [
+        (_with_row('"1.5","2",3\r\n'), True, False),
+        (_with_row('"1"2,"2",3\r\n'), True, False),
+        (_with_row('1,"' + "\n" * 100 + '2",3\r\n'), True, True),
+        (_with_row('1,"1' + "\n" * 100 + '2",3\r\n'), True, True),
+        # the row is longer than a segment, so a cut follows it: its segment ends inside
+        # the quote, which np.loadtxt would accept, while the single pass reads on
+        (_with_row('1,2,"3' + " " * 100 + "\r\n"), True, True),
+        (_with_row("\u0661,2,3\r\n"), True, True),
+        (_with_row("1,\u00a02,3\r\n"), True, True),
+        (_with_row("1,2,3\r\n").replace(b"2,3\r\n", b"2\xe9,3\r\n", 1), True, True),
+        (_with_row("1,2,3\r\n", '"X","Y","Z"\r\n'), False, True),
+        (_with_row("1,2,3\r\n", '"X\nA",Y,Z\r\n'), False, True),
+        (_with_row("1,2,3\r\n", "X,Y,Z\u00e9\r\n"), False, True),
+        (_with_row("1,2,3\r\n", "X,Y,Z\r"), False, True),
+        (_with_row("1,2,3\r\n", "X,Y,Z" + "Z" * 200000 + "\r\n"), True, False),
+    ], ids=["quoted-cells", "open-and-close-in-one-cell", "quoted-line-ends-across-cuts",
+            "quoted-text-across-cuts", "unterminated-quote-at-a-cut", "non-ascii-digit",
+            "no-break-space", "latin-1-byte", "quoted-header", "quoted-line-end-in-header",
+            "non-ascii-header", "bare-cr-after-header", "header-over-the-field-limit"])
+    def test_quotes_and_non_ascii_give_the_single_pass_result(self, tmp_path, pools, route,
+                                                             monkeypatch, text, started, whole):
+        # paired quotes stay in the segments; an odd count in one sends the file to the
+        # single pass, as do a non-ASCII byte and a header that is not one plain line
         path = tmp_path / "obs.csv"
         path.write_bytes(text)
         monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
         parallel = _outcome(path)
         assert pools == ([2] if started else [])
+        assert route()[1] == whole
         assert parallel == _single_pass_outcome(path, monkeypatch)
+
+    def test_the_cpu_count_does_not_choose_the_route(self, tmp_path, pools, route,
+                                                     monkeypatch):
+        # on one CPU the segments are parsed in this process, on two by forked workers
+        values = np.random.default_rng(7).standard_normal((200, 4))
+        columns = ("A", "B", "C", "D")
+        path = tmp_path / "obs.csv"
+        sc.Dataset(columns, values).to_csv(path)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 256)
+        routes = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            assert _outcome(path) == (columns, values.tobytes())
+            routes.append(route())
+        assert pools == [2]  # one block to write; the read on two CPUs
+        spans, whole = routes[0]
+        assert routes[1] == routes[0] and len(spans) > 20 and not whole
+        assert _single_pass_outcome(path, monkeypatch) == (columns, values.tobytes())
+
+    def test_quoted_cells_read_as_the_single_pass_reads_them(self, tmp_path, route,
+                                                            monkeypatch):
+        # random files of 24-byte segments whose cells open, close, double and leave
+        # quotes open across line ends; every outcome, errors included, is the single pass's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 24)
+        cells = ["1", '"3"', '" 4 "', '"5"6', '7"8', '"9', '""', '"1""2"', '"1\n2"',
+                 '"3\r\n"', " 5 ", "x"]
+        weights = np.array([8, 6, 4, 4, 0.25, 0.25, 0.25, 0.25, 0.25, 2, 4, 0.25])
+        rng = np.random.default_rng(20)
+        path = tmp_path / "obs.csv"
+        quoted_in_segments = 0
+        for _ in range(500):
+            width = int(rng.integers(1, 4))
+            lines = [",".join(rng.choice(cells, width, p=weights / weights.sum()))
+                     for _ in range(rng.integers(1, 10))]
+            ends = rng.choice(["\r\n", "\n", "\r\n\r\n"], len(lines), p=[0.6, 0.3, 0.1])
+            text = ",".join("ABC"[:width]) + "\r\n" + "".join(map(str.__add__, lines, ends))
+            path.write_bytes(text.encode())
+            route()  # forget the last file's single pass
+            outcome = _outcome(path)
+            quoted_in_segments += '"' in text and not route()[1]
+            assert outcome == _single_pass_outcome(path, monkeypatch), text
+        assert quoted_in_segments > 100
 
     @pytest.mark.parametrize("machine", ["one-cpu", "no-fork"])
     def test_serial_where_workers_cannot_help(self, tmp_path, pools, monkeypatch, machine):
