@@ -284,22 +284,28 @@ class Dataset:
         is a comment.  A malformed file raises :class:`InputFormatError`
         naming its first bad line.  A file of several segments is parsed a
         segment at a time, by forked workers where they help (:func:`_read_segments`).
+        A file that is not a regular file, such as a pipe, is read into memory
+        once and parsed in one pass.
         """
+        # a pipe reads once, and the single pass and _csv_fault may each read the file
+        data = None if os.path.isfile(path) else Path(path).read_bytes()
         try:
-            header, rows = _read_segments(path) or _read_whole(path)
+            header, rows = (data is None and _read_segments(path)) or _read_whole(path, data)
         except csv.Error as exc:  # only the header is read by csv: a field over its limit
             raise InputFormatError(f"{path}:1: {exc}") from None
+        if not _utf8(header):
+            raise InputFormatError(f"{path}:1: not valid UTF-8")
         if rows is not None and not rows.size:
             raise InputFormatError(f"{path}: no data rows")
         if rows is None or rows.shape[1] != len(header):
-            raise InputFormatError(_csv_fault(path, len(header)))
+            raise InputFormatError(_csv_fault(path, len(header), data))
         if len(set(header)) != len(header):
             raise InputFormatError(f"{path}: duplicate column names")
         rows.setflags(write=False)  # so that the dataset keeps this array and copies nothing
         try:
             return cls(tuple(header), rows)
         except ValueError:  # only a value is left to refuse: nan, inf or an overflowing 1e400
-            raise InputFormatError(_csv_fault(path, len(header))) from None
+            raise InputFormatError(_csv_fault(path, len(header), data)) from None
 
 
 #: Cells per block that :meth:`Dataset.to_csv` hands to :func:`_csv_lines`.
@@ -510,40 +516,49 @@ def _loadtxt(lines) -> np.ndarray:
                           ndmin=2)
 
 
-def _read_whole(path) -> tuple[list[str], np.ndarray | None]:
+def _text(path, data: bytes | None) -> io.TextIOWrapper:
+    """The CSV file, or its bytes ``data`` when read already, as UTF-8 text after an
+    optional BOM, each byte that is not UTF-8 kept as a lone surrogate (:func:`_utf8`)."""
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape", newline="")
+
+
+def _read_whole(path, data: bytes | None) -> tuple[list[str], np.ndarray | None]:
     """A CSV file's header and its rows in one pass, or None for rows that fail to parse."""
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with _text(path, data) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
             raise InputFormatError(f"{path}: empty CSV file") from None
-        if not _utf8(header):
-            raise InputFormatError(f"{path}:1: not valid UTF-8")
         try:
             return header, _loadtxt(fh)
         except ValueError:
             return header, None
 
 
-def _read_segments(path) -> tuple[list[str], np.ndarray] | None:
-    """A CSV file's header and rows, parsed a segment at a time by :func:`_fork_map`, or
-    None, for the single pass to read or reject the file, unless this gives its result.
+def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
+    """A CSV file's header and rows, parsed a segment at a time by :func:`_fork_map`; or
+    its header and None for rows of another width than the header; or None, for the
+    single pass to read or reject the file.
 
     The data lines are cut after a ``\\n`` about every ``_CSV_SEGMENT_BYTES``.  None for
-    one segment, a header that is not one ASCII line without a quote or a bare CR, a
-    segment that is not ASCII, holds an odd number of quotes or fails, or segments of
-    different widths.  In a segment that parses, every ``"`` opens or closes a quoted
-    cell: any other puts a ``"`` into its cell, which fails, as after padding (``1, "2"``),
-    in an unquoted cell (``7"8``) or doubled (``"1""2"``); ``"1"2`` reads as 12.  So a
-    segment with an even count ends outside quotes, and by induction from the header,
-    which has none, the single pass is outside quotes at every cut and reads the same
-    records.  An odd count may put a cut inside a quoted cell, and ``np.loadtxt`` accepts
-    one left open at the end of its input (``1,"2\\n`` reads as ``[[1, 2]]``).
+    one segment, a header that is not one line without a quote or a bare CR, or a
+    segment that is not UTF-8, holds an odd number of quotes or fails.  No byte of a
+    multibyte UTF-8 character is a ``\\n``, ``\\r`` or ``"``, so the cuts and the counts
+    mean what they would in ASCII.  In a segment that parses, every ``"`` opens or
+    closes a quoted cell: any other puts a ``"`` into its cell, which fails, as after
+    padding (``1, "2"``), in an unquoted cell (``7"8``) or doubled (``"1""2"``); ``"1"2``
+    reads as 12.  So a segment with an even count ends outside quotes, and by induction
+    from the header, which has none, the single pass is outside quotes at every cut and
+    reads the same records.  An odd count may put a cut inside a quoted cell, and
+    ``np.loadtxt`` accepts one left open at the end of its input (``1,"2\\n`` reads as
+    ``[[1, 2]]``).  So where a segment's width is not the header's, the single pass
+    reads the same records and fails too, and its fault is named without a second parse.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
         # a bare CR ends a line for csv.reader, but not for the cuts
-        if not head.endswith(b"\n") or not head.isascii() or b'"' in head or b"\r" in head[:-2]:
+        if not head.endswith(b"\n") or b'"' in head or b"\r" in head[:-2]:
             return None
         cuts, end = [fh.tell()], fh.seek(0, os.SEEK_END)
         while cuts[-1] < end:  # the last segment may be shorter
@@ -552,29 +567,31 @@ def _read_segments(path) -> tuple[list[str], np.ndarray] | None:
             cuts.append(min(fh.tell(), end))
     if len(cuts) < 3:  # one segment, which the single pass streams
         return None
-    rows, widths = bytearray(), set()  # each part is appended and let go, not held to the end
+    header = next(csv.reader([head.decode("utf-8-sig", "surrogateescape")]))
+    rows = io.BytesIO()  # each part is written and let go, not held to the end
     for part in _fork_map(functools.partial(_parse_segment, path), zip(cuts, cuts[1:])):
         if part is None:
             return None
-        if len(part):  # a blank segment adds no width
-            widths.add(part.shape[1])
-            rows += memoryview(part).cast("B")
-    if len(widths) != 1:
-        return None
-    return next(csv.reader([head.decode()])), np.frombuffer(rows).reshape(-1, widths.pop())
+        if len(part):  # a blank segment has no width
+            if part.shape[1] != len(header):
+                return header, None
+            rows.write(part)
+    # getvalue hands over the buffer itself, trimmed to its size; ``or 1`` for an empty
+    # header, which only blank lines can follow here, as reshape cannot divide by 0
+    return header, np.frombuffer(rows.getvalue()).reshape(-1, len(header) or 1)
 
 
 def _parse_segment(path, span: tuple[int, int]) -> np.ndarray | None:
     """``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file, or None unless
-    they are ASCII with an even number of quotes and parse."""
+    they are UTF-8 with an even number of quotes and parse."""
     start, stop = span
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
-    if not data.isascii() or b'"' in data and data.count(b'"') % 2:
+    if b'"' in data and data.count(b'"') % 2:
         return None
-    try:
-        return _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="ascii", newline=""))
+    try:  # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        return _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     except ValueError:
         return None
 
@@ -627,7 +644,7 @@ def _call(item):
     return _work(item)
 
 
-def _csv_fault(path, width: int) -> str:
+def _csv_fault(path, width: int, data: bytes | None) -> str:
     """The message naming the first data line that ``np.loadtxt`` rejected or read
     as a non-finite number.
 
@@ -635,7 +652,7 @@ def _csv_fault(path, width: int) -> str:
     cell only if ``loadtxt`` would, so ``1_000`` and non-ASCII digits, which
     Python's ``float`` reads, count as non-numeric.
     """
-    with open(path, newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
+    with _text(path, data) as fh:
         reader = csv.reader(fh)
         next(reader)
         start = reader.line_num + 1

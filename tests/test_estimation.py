@@ -131,7 +131,8 @@ class TestDataset:
 
     def test_a_read_in_segments_holds_its_rows_once(self, tmp_path, pools, monkeypatch):
         # about 37 segments, each appended to the rows as it arrives; the pool's modules
-        # are loaded before tracing, so that the bound measures the rows
+        # are loaded before tracing, so that the bound measures the rows, and the buffer
+        # behind them keeps no growth slack
         import concurrent.futures  # noqa: F401
         import multiprocessing  # noqa: F401
         rows = np.random.default_rng(6).normal(size=(100_000, 5))
@@ -147,6 +148,11 @@ class TestDataset:
         assert pools == [2, 2]  # the write's two blocks, then the read's segments
         assert np.array_equal(data.rows, rows)
         assert peak < 1.5 * rows.nbytes
+        owner = data.rows
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        owner = owner.obj if isinstance(owner, memoryview) else owner
+        assert sys.getsizeof(owner) - sys.getsizeof(type(owner)()) == rows.nbytes
 
     def test_three_names_are_one_class(self):
         """The table lives in ``simulate``; ``estimation`` and the package re-export it."""
@@ -358,6 +364,34 @@ class TestMalformedCsv:
         return code, capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+class TestPipedCsv:
+    """A --data file that cannot seek, such as a pipe, is read into memory once."""
+
+    def test_a_pipe_gives_the_files_report(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_bytes((_HEADER + _ROWS * 10).encode())
+        piped = self._estimate(input=path.read_bytes())
+        with open(path, "rb") as fh:  # a redirected file is a regular file
+            redirected = self._estimate(stdin=fh)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout == redirected.stdout and b"gamma_hat" in piped.stdout
+
+    def test_a_bad_cell_in_a_pipe_names_its_line(self):
+        result = self._estimate(input=(_HEADER + _ROWS + "1,abc,3\r\n").encode())
+        assert result.returncode == 2
+        assert result.stderr == b"error: /dev/stdin:5: non-numeric or missing cell\n"
+
+    @staticmethod
+    def _estimate(**stdin) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).parent.parent)}
+        return subprocess.run(
+            [sys.executable, "-c", "from semcontrol.cli import main; main()", "estimate",
+             "--data", "/dev/stdin", "--treatment", "X", "--response", "Y",
+             "--instruments", "Z"],
+            env=env, capture_output=True, timeout=120, **stdin)
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Two usable CPUs on any machine; the worker counts of the pools that start."""
@@ -403,9 +437,9 @@ def route(tmp_path, monkeypatch):
             fh.write(f"{span[0]} {span[1]}\n")
         return parse(path, span)
 
-    def whole_spy(path):
+    def whole_spy(path, data):
         whole.append(path)
-        return read_whole(path)
+        return read_whole(path, data)
 
     monkeypatch.setattr(simulate, "_parse_segment", parse_spy)
     monkeypatch.setattr(simulate, "_read_whole", whole_spy)
@@ -479,40 +513,54 @@ class TestParallelCsv:
         assert TestMalformedCsv._estimate(path, capsys) == (2, f"error: {message}\n")
 
     def test_segments_of_another_width_name_the_first_ragged_row(self, tmp_path, pools,
-                                                                  monkeypatch):
+                                                                  route, monkeypatch):
         # 16-byte rows: the 64-byte segments hold 5 rows each, and the width changes
-        # between two segments, so every segment parses on its own
+        # between two segments, so every segment parses on its own; a width other than
+        # the header's is a fault of the file, named without a second parse
         path = tmp_path / "obs.csv"
         path.write_bytes((_HEADER + "100,200,300000\r\n" * 20
                           + "1,20,300,40000\r\n" * 20).encode())
         monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
         assert _outcome(path) == ("InputFormatError", f"{path}:22: ragged row")
         assert pools == [2]
+        assert not route()[1]
 
-    @pytest.mark.parametrize("text, started, whole", [
-        (_with_row('"1.5","2",3\r\n'), True, False),
-        (_with_row('"1"2,"2",3\r\n'), True, False),
-        (_with_row('1,"' + "\n" * 100 + '2",3\r\n'), True, True),
-        (_with_row('1,"1' + "\n" * 100 + '2",3\r\n'), True, True),
+    @pytest.mark.parametrize("text, started, whole, fault", [
+        (_with_row('"1.5","2",3\r\n'), True, False, None),
+        (_with_row('"1"2,"2",3\r\n'), True, False, None),
+        (_with_row('1,"' + "\n" * 100 + '2",3\r\n'), True, True, None),
+        (_with_row('1,"1' + "\n" * 100 + '2",3\r\n'), True, True,
+         ":22: non-numeric or missing cell"),
         # the row is longer than a segment, so a cut follows it: its segment ends inside
         # the quote, which np.loadtxt would accept, while the single pass reads on
-        (_with_row('1,2,"3' + " " * 100 + "\r\n"), True, True),
-        (_with_row("\u0661,2,3\r\n"), True, True),
-        (_with_row("1,\u00a02,3\r\n"), True, True),
-        (_with_row("1,2,3\r\n").replace(b"2,3\r\n", b"2\xe9,3\r\n", 1), True, True),
-        (_with_row("1,2,3\r\n", '"X","Y","Z"\r\n'), False, True),
-        (_with_row("1,2,3\r\n", '"X\nA",Y,Z\r\n'), False, True),
-        (_with_row("1,2,3\r\n", "X,Y,Z\u00e9\r\n"), False, True),
-        (_with_row("1,2,3\r\n", "X,Y,Z\r"), False, True),
-        (_with_row("1,2,3\r\n", "X,Y,Z" + "Z" * 200000 + "\r\n"), True, False),
+        (_with_row('1,2,"3' + " " * 100 + "\r\n"), True, True,
+         ":22: non-numeric or missing cell"),
+        (_with_row("\u0661,2,3\r\n"), True, True, ":22: non-numeric or missing cell"),
+        (_with_row("1,\u00a02,3\r\n"), True, False, None),
+        (_with_row("1,2,3\r\n").replace(b"2,3\r\n", b"2\xe9,3\r\n", 1), True, True,
+         ":22: not valid UTF-8"),
+        (_with_row("1,2,3\r\n", '"X","Y","Z"\r\n'), False, True, None),
+        (_with_row("1,2,3\r\n", '"X\nA",Y,Z\r\n'), False, True, None),
+        (_with_row("1,2,3\r\n", "X,Y,Z\u00e9\r\n"), True, False, None),
+        (_with_row("1,2,3\r\n", "X,Y,Z\r"), False, True, None),
+        # the header is read before any segment, and the csv module refuses it
+        (_with_row("1,2,3\r\n", "X,Y,Z" + "Z" * 200000 + "\r\n"), False, False,
+         ":1: field larger than field limit (131072)"),
+        (b"\xef\xbb\xbf" + _with_row("1,2,3\r\n"), True, False, None),
+        (_with_row("1,2,3\r\n").replace(b"Z\r\n", b"Z\xe9\r\n", 1), True, False,
+         ":1: not valid UTF-8"),
+        (b"\n" + b"\r\n" * 100, True, False, ": no data rows"),
     ], ids=["quoted-cells", "open-and-close-in-one-cell", "quoted-line-ends-across-cuts",
             "quoted-text-across-cuts", "unterminated-quote-at-a-cut", "non-ascii-digit",
             "no-break-space", "latin-1-byte", "quoted-header", "quoted-line-end-in-header",
-            "non-ascii-header", "bare-cr-after-header", "header-over-the-field-limit"])
+            "non-ascii-header", "bare-cr-after-header", "header-over-the-field-limit",
+            "bom-header", "invalid-utf-8-header", "empty-header-over-blank-lines"])
     def test_quotes_and_non_ascii_give_the_single_pass_result(self, tmp_path, pools, route,
-                                                             monkeypatch, text, started, whole):
-        # paired quotes stay in the segments; an odd count in one sends the file to the
-        # single pass, as do a non-ASCII byte and a header that is not one plain line
+                                                             monkeypatch, text, started, whole,
+                                                             fault):
+        # UTF-8 and paired quotes stay in the segments; an odd count or a byte that is not
+        # UTF-8 in one sends the file to the single pass, as does a header that is not
+        # one plain line
         path = tmp_path / "obs.csv"
         path.write_bytes(text)
         monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
@@ -520,6 +568,10 @@ class TestParallelCsv:
         assert pools == ([2] if started else [])
         assert route()[1] == whole
         assert parallel == _single_pass_outcome(path, monkeypatch)
+        if fault:
+            assert parallel == ("InputFormatError", f"{path}{fault}")
+        else:
+            assert parallel[0] != "InputFormatError"
 
     def test_the_cpu_count_does_not_choose_the_route(self, tmp_path, pools, route,
                                                      monkeypatch):
