@@ -40,7 +40,7 @@ from .model import (
     spectral_radius,
     validate_model,
 )
-from .simulate import Dataset, SimulationConfig, draw_equilibrium, save_run, simulate_plan
+from .simulate import Dataset, SimulationConfig, controlled_model, draw_and_save
 
 
 class UsageError(Exception):
@@ -390,7 +390,6 @@ def _cmd_simulate(args):
     if args.n < 2:  # the report's sample variances need two rows
         raise ValueError(f"simulate needs --n of at least 2, got {args.n}")
     config = SimulationConfig(n_draws=args.n, seed=args.seed, law=args.law)
-    caught = []
     if planned:
         read = _given(args, "--cov", "--data")
         if read and analysis.spec.covariate_gains != "optimal":
@@ -398,17 +397,16 @@ def _cmd_simulate(args):
                 "simulate with fixed covariate gains reads no moments "
                 f"and cannot take {', '.join(read)}"
             )
-        data = simulate_plan(analysis.model, analysis.gated, analysis.plan, config)
-        post = "post-plan"
+        model = controlled_model(analysis.model, analysis.gated, analysis.plan)
+        regime = "post-plan"
     else:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UnstableModelWarning)
-            data = draw_equilibrium(analysis.model, config)
-        post = "observational"
-    sidecar = save_run(data, args.out, inputs["model_hash"], config)
+        model, regime = analysis.model, "observational"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UnstableModelWarning)
+        data, sidecar = draw_and_save(model, config, args.out, inputs["model_hash"])
     report = Report("simulate", inputs=inputs, warnings=[str(w.message) for w in caught])
     report.results = {
-        "regime": post,
+        "regime": regime,
         "out": str(args.out),
         "metadata": str(sidecar),
         "rows": data.n,

@@ -10,7 +10,8 @@ matrix is convergent.
 Randomness is counter-based (Philox) with one counter block range per row, so any chunking
 of the draw range reproduces the same rows bit for bit and chunks may be generated in
 parallel.  A dataset's CSV file holds the ``repr`` of each value, and forked worker
-processes (:func:`_fork_map`) format and parse a large file a part each.
+processes (:func:`_fork_map`) format and parse a large file a part each; a run that
+:func:`draw_and_save` writes is also drawn a block at a time by the worker that formats it.
 """
 
 from __future__ import annotations
@@ -112,6 +113,39 @@ def _disturbances(model: StructuralModel, config: SimulationConfig,
     return (u - 0.5) * (scale * np.sqrt(12.0))
 
 
+def _equilibrium_rows(model: StructuralModel, config: SimulationConfig, inverse: np.ndarray,
+                      start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the run, given ``inverse = (I - A)^-1``: every draw's block kernel."""
+    eps = _disturbances(model, config, start, stop)
+    # einsum keeps a fixed per-element reduction order, so any chunking of the
+    # row range reproduces the exact same bits (BLAS batch kernels do not)
+    return np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
+
+
+def _prepared(model: StructuralModel, config: SimulationConfig,
+              row_range: tuple[int, int] | None) -> tuple[np.ndarray, int, int]:
+    """``((I - A)^-1, start, stop)`` for a draw of ``row_range``: what is done once before
+    its first row.  Refuses a model without variables and a range outside the run, warns
+    of an unstable model, and loads ``ndtri`` for a Gaussian law, so that forked workers
+    inherit it."""
+    if not model.n_variables:  # its rows would be empty, which no CSV can hold
+        raise ValueError("model has no variables to draw")
+    start, stop = row_range if row_range is not None else (0, config.n_draws)
+    if not 0 <= start <= stop <= config.n_draws:
+        raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
+    inverse = _equilibrium_map(model)
+    if not model.stable:
+        warnings.warn(
+            "model is not stable: equilibrium draws exist but are not reachable "
+            "by iteration from any starting point",
+            UnstableModelWarning,
+            stacklevel=3,
+        )
+    if config.law == "gaussian":
+        _ndtri()
+    return inverse, start, stop
+
+
 def draw_equilibrium(
     model: StructuralModel,
     config: SimulationConfig,
@@ -125,24 +159,7 @@ def draw_equilibrium(
     An unstable model still has a solvable equilibrium but cannot reach it
     by iteration, so sampling one only emits a warning.
     """
-    if not model.n_variables:  # its rows would be empty, which no CSV can hold
-        raise ValueError("model has no variables to draw")
-    start, stop = row_range if row_range is not None else (0, config.n_draws)
-    if not 0 <= start <= stop <= config.n_draws:
-        raise ValueError(f"row range [{start}, {stop}) outside [0, {config.n_draws})")
-
-    inverse = _equilibrium_map(model)
-    eps = _disturbances(model, config, start, stop)
-    # einsum keeps a fixed per-element reduction order, so any chunking of the
-    # row range reproduces the exact same bits (BLAS batch kernels do not)
-    values = np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
-    if not model.stable:
-        warnings.warn(
-            "model is not stable: equilibrium draws exist but are not reachable "
-            "by iteration from any starting point",
-            UnstableModelWarning,
-            stacklevel=2,
-        )
+    values = _equilibrium_rows(model, config, *_prepared(model, config, row_range))
     values.setflags(write=False)  # so that the dataset keeps this array and copies nothing
     return Dataset(model.variables, values)
 
@@ -191,13 +208,20 @@ def simulate_plan(
     steady state; ``draw_equilibrium(apply_plan(...))`` samples an
     unreachable one anyway, with a warning.
     """
+    return draw_equilibrium(controlled_model(model, partition, plan), config, row_range)
+
+
+def controlled_model(model: StructuralModel, partition: VertexPartition,
+                     plan: ControlPlan) -> StructuralModel:
+    """The model after conducting a plan, ``apply_plan(model, partition, plan)``, refused
+    with :class:`UnstablePlan` unless its equilibrium is reachable."""
     post = apply_plan(model, partition, plan)
     if not post.stable:
         raise UnstablePlan(
             f"post-plan spectral radius {spectral_radius(post):.6g} is not below 1; the "
             "controlled equilibrium is not reachable"
         )
-    return draw_equilibrium(post, config, row_range)
+    return post
 
 
 def save_run(
@@ -210,16 +234,55 @@ def save_run(
 
     ``digest`` is the :func:`~semcontrol.model.model_hash` of the model drawn from.
     """
+    return _save_run(path, digest, config, dataset.n, dataset.to_csv)[0]
+
+
+def draw_and_save(model: StructuralModel, config: SimulationConfig, path: str | Path,
+                  digest: str) -> tuple[Dataset, Path]:
+    """``draw_equilibrium(model, config)``, then :func:`save_run`: the same dataset, files
+    and errors, and the sidecar path; but each block of the CSV is drawn by the worker that
+    formats it, into one buffer mapped before the workers fork and shared by all, so that
+    no row is sent back.  The dataset is built, and its values checked, before either file
+    is replaced.  Where no buffer can be mapped, the rows are drawn here, as by
+    :func:`draw_equilibrium`, and numpy refuses an impossible ``n`` in its own words.
+    """
+    import mmap  # here, so that only a draw loads it
+
+    inverse, _, n = _prepared(model, config, None)
+    try:
+        rows = np.frombuffer(mmap.mmap(-1, n * model.n_variables * 8))
+        shared = True
+    except (OSError, OverflowError):  # no room to map: drawn here, or refused in numpy's words
+        rows, shared = _equilibrium_rows(model, config, inverse, 0, n), False
+    rows = rows.reshape(n, model.n_variables)
+
+    def block(start: int, stop: int) -> np.ndarray:
+        if shared:
+            rows[start:stop] = _equilibrium_rows(model, config, inverse, start, stop)
+        return rows[start:stop]
+
+    def write_csv(path: Path) -> Dataset:
+        with _write_whole(path, newline="") as fh:
+            _write_csv_rows(fh, model.variables, n, block)
+            rows.setflags(write=False)  # so that the dataset keeps this array and copies nothing
+            return Dataset(model.variables, rows)
+
+    sidecar, data = _save_run(path, digest, config, n, write_csv)
+    return data, sidecar
+
+
+def _save_run(path, digest: str, config: SimulationConfig, n: int,
+              write_csv) -> tuple[Path, object]:
+    """The sidecar path of a run of ``n`` rows and what ``write_csv(path)`` returns."""
     path = Path(path)
     sidecar = path.with_name(path.name + ".meta.json")
-    meta = {"seed": config.seed, "n": dataset.n, "model_hash": digest,
+    meta = {"seed": config.seed, "n": n, "model_hash": digest,
             "rng": RNG_ALGORITHM, "law": config.law}
     # the CSV is replaced inside the sidecar's block, so a sidecar that cannot be
     # written leaves the CSV as it was, and a CSV that cannot be written the sidecar
     with _write_whole(sidecar) as fh:
         fh.write(json.dumps(meta, indent=2) + "\n")
-        dataset.to_csv(path)
-    return sidecar
+        return sidecar, write_csv(path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,24 +320,10 @@ class Dataset:
             raise ValueError(f"unknown column {name!r}") from None
 
     def to_csv(self, path: str | Path) -> None:
-        """Header row, then each value as its shortest round-trip ``repr``, CRLF line ends.
-
-        The rows are formatted a block of about ``_CSV_BLOCK_CELLS`` cells at a time
-        by :func:`_csv_lines`, whose bytes are those of a ``csv.writer`` row of
-        ``repr`` strings.  Several blocks are formatted by forked workers
-        (:func:`_fork_map`) and written in order.  The file is replaced whole or not
-        at all.
-        """
-        step = max(1, _CSV_BLOCK_CELLS // max(len(self.columns), 1))
-        starts = range(0, self.n, step)
-
-        def block(start: int) -> bytes:
-            return _csv_lines(self.rows[start:start + step])
-
+        """Header row, then each value as its shortest round-trip ``repr``, CRLF line ends
+        (:func:`_write_csv_rows`).  The file is replaced whole or not at all."""
         with _write_whole(path, newline="") as fh:
-            csv.writer(fh).writerow(self.columns)
-            fh.flush()  # the rows are bytes, written below the text layer
-            fh.buffer.writelines(_fork_map(block, starts))
+            _write_csv_rows(fh, self.columns, self.n, lambda start, stop: self.rows[start:stop])
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -308,7 +357,7 @@ class Dataset:
             raise InputFormatError(_csv_fault(path, len(header), data)) from None
 
 
-#: Cells per block that :meth:`Dataset.to_csv` hands to :func:`_csv_lines`.
+#: Cells per block that :func:`_write_csv_rows` hands to :func:`_csv_lines`.
 _CSV_BLOCK_CELLS = 2**18
 
 #: Cells, in whole rows, that :func:`_csv_lines` formats at a time; bounds its scratch arrays.
@@ -319,6 +368,18 @@ _CSV_SEGMENT_BYTES = 2**23
 
 #: ``_POW10[j + 5]`` is the double nearest ``10**j``, exact for ``0 <= j <= 22``.
 _POW10 = np.array([float(f"1e{j}") for j in range(-5, 23)])
+
+
+def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
+    """A CSV file's text into the text handle ``fh``: the header row, then ``n`` rows a
+    block of about ``_CSV_BLOCK_CELLS`` cells at a time, each the :func:`_csv_lines` of
+    ``block(start, stop)``, the rows [start, stop).  Several blocks are handled by forked
+    workers (:func:`_fork_map`) and written in order."""
+    step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
+    csv.writer(fh).writerow(columns)
+    fh.flush()  # the rows are bytes, written below the text layer
+    fh.buffer.writelines(_fork_map(lambda start: _csv_lines(block(start, min(start + step, n))),
+                                   range(0, n, step)))
 
 
 def _csv_lines(block: np.ndarray) -> bytes:
@@ -538,8 +599,8 @@ def _read_whole(path, data: bytes | None) -> tuple[list[str], np.ndarray | None]
 
 def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     """A CSV file's header and rows, parsed a segment at a time by :func:`_fork_map`; or
-    its header and None for rows of another width than the header; or None, for the
-    single pass to read or reject the file.
+    its header and None for a header that is not UTF-8 or rows of another width than the
+    header; or None, for the single pass to read or reject the file.
 
     The data lines are cut after a ``\\n`` about every ``_CSV_SEGMENT_BYTES``.  None for
     one segment, a header that is not one line without a quote or a bare CR, or a
@@ -568,6 +629,8 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     if len(cuts) < 3:  # one segment, which the single pass streams
         return None
     header = next(csv.reader([head.decode("utf-8-sig", "surrogateescape")]))
+    if not _utf8(header):  # refused by from_csv before any segment is parsed
+        return header, None
     rows = io.BytesIO()  # each part is written and let go, not held to the end
     for part in _fork_map(functools.partial(_parse_segment, path), zip(cuts, cuts[1:])):
         if part is None:

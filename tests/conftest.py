@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 import semcontrol as sc
+from semcontrol import simulate
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +39,20 @@ def two_cycle_model():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Two usable CPUs on any machine; the worker counts of the pools that start."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the worker pool forks")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    in_workers = simulate._in_workers
+
+    def spy(work, items, workers):
+        started.append(workers)
+        return in_workers(work, items, workers)
+
+    monkeypatch.setattr(simulate, "_in_workers", spy)
+    return started

@@ -392,23 +392,6 @@ class TestPipedCsv:
             env=env, capture_output=True, timeout=120, **stdin)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Two usable CPUs on any machine; the worker counts of the pools that start."""
-    if not hasattr(os, "fork"):
-        pytest.skip("the worker pool forks")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started = []
-    in_workers = simulate._in_workers
-
-    def spy(work, items, workers):
-        started.append(workers)
-        return in_workers(work, items, workers)
-
-    monkeypatch.setattr(simulate, "_in_workers", spy)
-    return started
-
-
 def _outcome(path):
     """What Dataset.from_csv makes of a file: its columns and row bits, or its error."""
     try:
@@ -547,7 +530,7 @@ class TestParallelCsv:
         (_with_row("1,2,3\r\n", "X,Y,Z" + "Z" * 200000 + "\r\n"), False, False,
          ":1: field larger than field limit (131072)"),
         (b"\xef\xbb\xbf" + _with_row("1,2,3\r\n"), True, False, None),
-        (_with_row("1,2,3\r\n").replace(b"Z\r\n", b"Z\xe9\r\n", 1), True, False,
+        (_with_row("1,2,3\r\n").replace(b"Z\r\n", b"Z\xe9\r\n", 1), False, False,
          ":1: not valid UTF-8"),
         (b"\n" + b"\r\n" * 100, True, False, ": no data rows"),
     ], ids=["quoted-cells", "open-and-close-in-one-cell", "quoted-line-ends-across-cuts",
@@ -632,8 +615,10 @@ class TestParallelCsv:
         ("simulate", "_csv_lines = lambda block: os._exit(3)", "BrokenProcessPool: "),
         ("simulate", "_csv_lines = lambda block: 1 / 0",
          "ZeroDivisionError: division by zero"),
+        ("simulate", "_disturbances = lambda *args: os._exit(3)", "BrokenProcessPool: "),
+        ("simulate", "_disturbances = lambda *args: 1 / 0", "ZeroDivisionError: division by zero"),
         ("estimate", "_parse_segment = lambda path, span: os._exit(3)", "BrokenProcessPool: "),
-    ], ids=["writer-dies", "writer-raises", "reader-dies"])
+    ], ids=["writer-dies", "writer-raises", "draw-dies", "draw-raises", "reader-dies"])
     def test_failed_worker_exits_two_and_writes_nothing(self, tmp_path, command, patch,
                                                        failure):
         if not hasattr(os, "fork"):

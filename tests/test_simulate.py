@@ -1,6 +1,7 @@
 """Equilibrium sampler determinism, chunking, iteration, and plan simulation."""
 
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 import semcontrol as sc
+from semcontrol import simulate
+from semcontrol.cli import run_command
 
 
 @pytest.fixture
@@ -259,6 +262,95 @@ class TestSeededBits:
         data = sc.draw_equilibrium(iverson_model, sc.SimulationConfig(5, seed=0, law=law))
         assert data.columns == ("Y", "X", "Z1", "Z2", "Z3")
         assert [[float(v).hex() for v in row] for row in data.rows[:2]] == self.GOLDEN[law]
+
+
+class TestDrawInWorkers:
+    """A ``simulate`` of several blocks draws each block in the worker that formats it,
+    with the files, report and errors of ``draw_equilibrium`` followed by ``save_run``."""
+
+    UNSTABLE = sc.StructuralModel.from_edges([("X", "Y", 1.5), ("Y", "X", 0.8)],
+                                             variables=["Y", "X"])
+
+    @staticmethod
+    def _simulate(tmp_path, capsys, model, *flags):
+        path = tmp_path / "model.json"
+        sc.save_model(model, path)
+        out = tmp_path / "draws.csv"
+        code = run_command(["simulate", "--model", str(path), "--n", "301", "--seed", "5",
+                            *flags, "--out", str(out), "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        return out, json.loads(captured.out)
+
+    @pytest.mark.parametrize("cpus", ["one-cpu", "two-cpus", "four-cpus", "two-cpus-unmapped"])
+    @pytest.mark.parametrize("branch", ["observational", "plan"])
+    @pytest.mark.parametrize("law", ["gaussian", "uniform"])
+    def test_the_library_bits(self, tmp_path, capsys, pools, monkeypatch, iverson_model,
+                              cpus, branch, law):
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 61 blocks of 8 rows
+        if cpus == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif cpus == "four-cpus":  # more workers than most machines have cores
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        elif cpus == "two-cpus-unmapped":  # the rows are drawn here, the workers format them
+
+            def refuse(*args):
+                raise OSError(12, "Cannot allocate memory")
+
+            monkeypatch.setattr(mmap, "mmap", refuse)
+        plan = ["--treatment", "X", "--response", "Y", "--x", "1.5", "--a", "0.2",
+                "--sigma-eps", "0.5"] if branch == "plan" else []
+        out, report = self._simulate(tmp_path, capsys, iverson_model, "--law", law, *plan)
+        assert pools == {"one-cpu": [], "four-cpus": [4]}.get(cpus, [2])
+        config = sc.SimulationConfig(301, seed=5, law=law)
+        data = (sc.simulate_plan(iverson_model, sc.partition_vertices(iverson_model, "X", "Y"),
+                                 sc.ControlPlan(1.5, [0.2], [], 0.5), config)
+                if plan else sc.draw_equilibrium(iverson_model, config))
+        expected = tmp_path / "expected.csv"
+        sc.save_run(data, expected, report["inputs"]["model_hash"], config)
+        assert out.read_bytes() == expected.read_bytes()
+        assert (Path(f"{out}.meta.json").read_bytes()
+                == Path(f"{expected}.meta.json").read_bytes())
+        results = report["results"]
+        assert results["rows"] == 301
+        for key, moments in [("empirical_mean", data.rows.mean(axis=0)),
+                             ("empirical_variance", data.rows.var(axis=0, ddof=1))]:
+            assert ([float(v).hex() for v in results[key].values()]
+                    == [float(v).hex() for v in moments])
+
+    def test_an_unstable_model_warns_once(self, tmp_path, capsys, pools, monkeypatch):
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)
+        _, report = self._simulate(tmp_path, capsys, self.UNSTABLE)
+        assert pools == [2]
+        assert report["warnings"] == [
+            "model is not stable: equilibrium draws exist but are not reachable by iteration "
+            "from any starting point"]
+
+    def test_an_overflowing_draw_writes_nothing(self, tmp_path):
+        if not hasattr(os, "fork"):
+            pytest.skip("the worker pool forks")
+        model = tmp_path / "model.json"
+        sc.save_model(sc.StructuralModel.from_edges(
+            [("X", "Y", 0.9)], intercepts={"X": 1e308, "Y": 1e308}), model)
+        result = subprocess.run([sys.executable, "-c", (
+            "import os, sys; sys.path.insert(0, sys.argv[1])\n"
+            "from semcontrol import cli, simulate\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "simulate._CSV_BLOCK_CELLS = 40\n"
+            "started, in_workers = [], simulate._in_workers\n"
+            "def spy(work, items, workers):\n"
+            "    started.append(workers)\n"
+            "    return in_workers(work, items, workers)\n"
+            "simulate._in_workers = spy\n"
+            "code = cli.run_command(['simulate', '--model', sys.argv[2], '--n', '300',\n"
+            "                        '--out', 'draws.csv'])\n"
+            "print(started)\n"
+            "sys.exit(code)\n"), str(Path(sc.__file__).parent.parent), str(model)],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 2
+        assert result.stdout == "[2]\n"  # 15 blocks, drawn on two workers
+        assert result.stderr == "error: dataset contains missing or non-finite values\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_small_commands_never_load_the_worker_pool(tmp_path):
