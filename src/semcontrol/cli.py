@@ -403,15 +403,16 @@ def _cmd_simulate(args):
         model, regime = analysis.model, "observational"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UnstableModelWarning)
-        data, sidecar = draw_and_save(model, config, args.out, inputs["model_hash"])
+        data, sidecar, (mean, variance) = draw_and_save(model, config, args.out,
+                                                        inputs["model_hash"])
     report = Report("simulate", inputs=inputs, warnings=[str(w.message) for w in caught])
     report.results = {
         "regime": regime,
         "out": str(args.out),
         "metadata": str(sidecar),
         "rows": data.n,
-        "empirical_mean": dict(zip(data.columns, data.rows.mean(axis=0))),
-        "empirical_variance": dict(zip(data.columns, data.rows.var(axis=0, ddof=1))),
+        "empirical_mean": dict(zip(data.columns, mean)),
+        "empirical_variance": dict(zip(data.columns, variance)),
     }
     return report, 0
 

@@ -12,6 +12,7 @@ of the draw range reproduces the same rows bit for bit and chunks may be generat
 parallel.  A dataset's CSV file holds the ``repr`` of each value, and forked worker
 processes (:func:`_fork_map`) format and parse a large file a part each; a run that
 :func:`draw_and_save` writes is also drawn a block at a time by the worker that formats it.
+The formatted text comes back through a buffer that the workers share (:func:`_write_csv_rows`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import json
 import os
 import sys
+import threading
 import types
 import warnings
 from collections import deque
@@ -107,19 +109,26 @@ def _disturbances(model: StructuralModel, config: SimulationConfig,
     u = _uniform_rows(config.seed, model.n_variables, start, stop)
     scale = np.sqrt(model.disturbance_variances)
     if config.law == "gaussian":
-        # random() can return exactly 0, which ndtri maps to -inf
-        u = np.where(u == 0.0, 2.0**-54, u)
-        return _ndtri()(u) * scale
-    return (u - 0.5) * (scale * np.sqrt(12.0))
+        # random() returns multiples of 2^-53 and can return exactly 0, which ndtri
+        # maps to -inf; the maximum is also the one array that the block allocates
+        eps = np.maximum(u, 2.0**-54)
+        _ndtri()(eps, out=eps)
+        eps *= scale
+        return eps
+    eps = u - 0.5
+    eps *= scale * np.sqrt(12.0)
+    return eps
 
 
 def _equilibrium_rows(model: StructuralModel, config: SimulationConfig, inverse: np.ndarray,
-                      start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the run, given ``inverse = (I - A)^-1``: every draw's block kernel."""
+                      start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows [start, stop) of the run, given ``inverse = (I - A)^-1``: every draw's block kernel.
+    They are written into ``out`` when it is given."""
     eps = _disturbances(model, config, start, stop)
+    eps += model.intercepts
     # einsum keeps a fixed per-element reduction order, so any chunking of the
     # row range reproduces the exact same bits (BLAS batch kernels do not)
-    return np.einsum("ij,rj->ri", inverse, model.intercepts + eps)
+    return np.einsum("ij,rj->ri", inverse, eps, out=out)
 
 
 def _prepared(model: StructuralModel, config: SimulationConfig,
@@ -238,13 +247,16 @@ def save_run(
 
 
 def draw_and_save(model: StructuralModel, config: SimulationConfig, path: str | Path,
-                  digest: str) -> tuple[Dataset, Path]:
+                  digest: str) -> tuple[Dataset, Path, tuple[np.ndarray, np.ndarray]]:
     """``draw_equilibrium(model, config)``, then :func:`save_run`: the same dataset, files
     and errors, and the sidecar path; but each block of the CSV is drawn by the worker that
     formats it, into one buffer mapped before the workers fork and shared by all, so that
     no row is sent back.  The dataset is built, and its values checked, before either file
-    is replaced.  Where no buffer can be mapped, the rows are drawn here, as by
+    is replaced.  Where the rows' buffer cannot be mapped, they are drawn here, as by
     :func:`draw_equilibrium`, and numpy refuses an impossible ``n`` in its own words.
+
+    Also returns the rows' mean and sample variance, the :func:`_moments` that a report
+    gives, computed on a thread while the files are closed and renamed.
     """
     import mmap  # here, so that only a draw loads it
 
@@ -258,17 +270,60 @@ def draw_and_save(model: StructuralModel, config: SimulationConfig, path: str | 
 
     def block(start: int, stop: int) -> np.ndarray:
         if shared:
-            rows[start:stop] = _equilibrium_rows(model, config, inverse, start, stop)
+            _equilibrium_rows(model, config, inverse, start, stop, out=rows[start:stop])
         return rows[start:stop]
 
+    moments = None
+
     def write_csv(path: Path) -> Dataset:
+        nonlocal moments
         with _write_whole(path, newline="") as fh:
             _write_csv_rows(fh, model.variables, n, block)
             rows.setflags(write=False)  # so that the dataset keeps this array and copies nothing
+            # started once the workers are gone: no process may fork while it runs
+            moments = _Moments(rows)
+            moments.start()
             return Dataset(model.variables, rows)
 
-    sidecar, data = _save_run(path, digest, config, n, write_csv)
-    return data, sidecar
+    try:
+        sidecar, data = _save_run(path, digest, config, n, write_csv)
+    finally:  # a file that cannot be written or a dataset refused leaves no thread behind
+        if moments is not None:
+            moments.join()
+    return data, sidecar, moments.result()
+
+
+def _moments(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows.mean(axis=0)`` and ``rows.var(axis=0, ddof=1)``, bit for bit, for two rows or
+    more: the variance is computed from that mean as numpy's own ``var`` computes it."""
+    mean = rows.mean(axis=0)
+    deviations = rows - mean
+    deviations *= deviations
+    return mean, deviations.sum(axis=0) / (len(rows) - 1)
+
+
+class _Moments(threading.Thread):
+    """A thread computing the :func:`_moments` of ``rows`` under the numpy error state of
+    the thread that made it, which numpy keeps per thread.  :meth:`result` waits for them,
+    and raises what they raised."""
+
+    def __init__(self, rows: np.ndarray):
+        super().__init__(name="moments")
+        self.rows, self.errors = rows, {**np.geterr(), "call": np.geterrcall()}
+        self.outcome: tuple | Exception | None = None
+
+    def run(self) -> None:
+        try:
+            with np.errstate(**self.errors):
+                self.outcome = _moments(self.rows)
+        except Exception as exc:  # raised again by result(), in the thread that asks
+            self.outcome = exc
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        self.join()
+        if isinstance(self.outcome, Exception):
+            raise self.outcome
+        return self.outcome
 
 
 def _save_run(path, digest: str, config: SimulationConfig, n: int,
@@ -374,12 +429,42 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     """A CSV file's text into the text handle ``fh``: the header row, then ``n`` rows a
     block of about ``_CSV_BLOCK_CELLS`` cells at a time, each the :func:`_csv_lines` of
     ``block(start, stop)``, the rows [start, stop).  Several blocks are handled by forked
-    workers (:func:`_fork_map`) and written in order."""
-    step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
+    workers (:func:`_fork_map`) and written in order.
+
+    Each block's text goes into a slot of one buffer, mapped before the workers fork and
+    shared with them, and only its length comes back, so no text is pickled.  There are
+    ``_window(workers) + 1`` slots, used in turn, so that a slot is filled again only
+    after the text it held is written.  A buffer that cannot be mapped is refused as a
+    :class:`MemoryError`.
+    """
+    import mmap  # here, so that only a CSV writer loads it
+
     csv.writer(fh).writerow(columns)
     fh.flush()  # the rows are bytes, written below the text layer
-    fh.buffer.writelines(_fork_map(lambda start: _csv_lines(block(start, min(start + step, n))),
-                                   range(0, n, step)))
+    if not n:  # nothing to map: mmap refuses an empty buffer
+        return
+    step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
+    starts = range(0, n, step)
+    # each cell's repr takes at most 24 bytes and is followed by "," or "\r\n"
+    size = min(step, n) * max(25 * len(columns) + 1, 2)
+    ring = min(len(starts), _window(_workers(len(starts))) + 1)
+    try:
+        text = mmap.mmap(-1, ring * size)
+    except OSError:
+        raise MemoryError(f"Unable to map {ring * size} bytes for the CSV text") from None
+
+    def put(index: int) -> int:
+        start = starts[index]
+        lines = _csv_lines(block(start, min(start + step, n)))
+        at = (index % ring) * size
+        text[at:at + len(lines)] = lines
+        return len(lines)
+
+    with memoryview(text) as view:
+        for index, length in enumerate(_fork_map(put, range(len(starts)))):
+            at = (index % ring) * size
+            fh.buffer.write(view[at:at + length])
+    text.close()
 
 
 def _csv_lines(block: np.ndarray) -> bytes:
@@ -404,6 +489,7 @@ def _csv_lines(block: np.ndarray) -> bytes:
 _SLOT = b"-0.000" + b"\xff" * 18 + b"." + b"\xff" * 16 + b"0,\r\n"
 
 
+@functools.cache
 def _slot_masks() -> np.ndarray:
     """``_SLOT`` with the characters that ``repr`` drops set to zero, one row per
     (sign, row end, decimal exponent k in [-4, 15], digit count p in [0, 17]).
@@ -423,7 +509,9 @@ def _slot_masks() -> np.ndarray:
             + [(z >= a) & (z < p) for z in range(1, 17)] + [p <= a])
     keep = [column & (p > 0) for column in keep] + [~end, end, end]
     keep = np.stack([np.broadcast_to(column, (2, 2, 20, 18)) for column in keep], axis=-1)
-    return (keep * np.frombuffer(_SLOT, np.uint8)).reshape(-1, len(_SLOT))
+    masks = (keep * np.frombuffer(_SLOT, np.uint8)).reshape(-1, len(_SLOT))
+    masks.setflags(write=False)  # built once per process and shared by every caller
+    return masks
 
 
 def _format_cells(x: np.ndarray, width: int, masks: np.ndarray) -> bytes:
@@ -665,13 +753,29 @@ def _fork_map(work, items) -> Iterator:
 
     Each worker inherits ``work`` and the data that it reads through the fork, so only
     the items and the results are pickled.  There are ``min(usable CPUs, items)``
-    workers, and at most two items per worker are in flight, which bounds the memory
-    that the results hold.  A worker that dies or raises ends in :class:`WorkerFailed`.
+    workers (:func:`_workers`), and at most two items per worker are in flight
+    (:func:`_window`), which bounds the memory that the results hold.  A worker that
+    dies or raises ends in :class:`WorkerFailed`.
     """
     items = list(items)
-    usable = getattr(os, "sched_getaffinity", None)
-    workers = min(len(usable(0)), len(items)) if usable and hasattr(os, "fork") else 1
+    workers = _workers(len(items))
     return _in_workers(work, items, workers) if workers > 1 else map(work, items)
+
+
+def _workers(items: int) -> int:
+    """The worker processes that :func:`_fork_map` uses for ``items`` items; 1 or fewer
+    for its in-process ``map``."""
+    usable = getattr(os, "sched_getaffinity", None)
+    return min(len(usable(0)), items) if usable and hasattr(os, "fork") else 1
+
+
+def _window(workers: int) -> int:
+    """The items that :func:`_fork_map` may have started beyond the one whose result its
+    consumer holds: ``2 * workers`` in worker processes, and none in the in-process
+    ``map``, which computes an item only when asked.  So a buffer that each item fills,
+    and that the consumer reads with the item's result, needs ``_window(workers) + 1``
+    slots, used in turn."""
+    return 2 * workers if workers > 1 else 0
 
 
 def _in_workers(work, items: list, workers: int):
@@ -682,7 +786,7 @@ def _in_workers(work, items: list, workers: int):
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (work,))
     todo = iter(items)
     try:
-        pending = deque(pool.submit(_call, item) for item in islice(todo, 2 * workers))
+        pending = deque(pool.submit(_call, item) for item in islice(todo, _window(workers)))
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(_call, item) for item in islice(todo, 1))

@@ -243,6 +243,11 @@ class TestCsvFormat:
                         if a != b]
                 pytest.fail(f"first differing row: {rows[0]}")
 
+    def test_the_slot_masks_are_built_once_and_read_only(self):
+        masks = simulate._slot_masks()
+        assert simulate._slot_masks() is masks
+        assert not masks.flags.writeable
+
     def test_a_block_is_formatted_in_memory_bounded_by_its_text(self):
         block = np.random.default_rng(16).standard_normal((simulate._CSV_BLOCK_CELLS // 8, 8))
         tracemalloc.start()

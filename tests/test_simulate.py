@@ -1,10 +1,13 @@
 """Equilibrium sampler determinism, chunking, iteration, and plan simulation."""
 
+import io
 import json
 import mmap
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -293,9 +296,12 @@ class TestDrawInWorkers:
         elif cpus == "four-cpus":  # more workers than most machines have cores
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         elif cpus == "two-cpus-unmapped":  # the rows are drawn here, the workers format them
+            real = mmap.mmap
 
-            def refuse(*args):
-                raise OSError(12, "Cannot allocate memory")
+            def refuse(fileno, length):  # the rows' buffer, not the text's
+                if length == 301 * 5 * 8:
+                    raise OSError(12, "Cannot allocate memory")
+                return real(fileno, length)
 
             monkeypatch.setattr(mmap, "mmap", refuse)
         plan = ["--treatment", "X", "--response", "Y", "--x", "1.5", "--a", "0.2",
@@ -351,6 +357,114 @@ class TestDrawInWorkers:
         assert result.stdout == "[2]\n"  # 15 blocks, drawn on two workers
         assert result.stderr == "error: dataset contains missing or non-finite values\n"
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class TestTextBuffer:
+    """The workers format each block into a slot of one shared buffer and send back only
+    its length; a slot is filled again only after the parent has written its text."""
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_no_slot_is_refilled_before_the_parent_writes_it(self, pools, monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 61 blocks of 8 rows
+        rows = np.arange(488 * 5, dtype=float).reshape(488, 5)
+        written = []  # what each write found in its slot, after the time to refill it
+
+        class SlowFile(io.BytesIO):
+            def write(self, data):
+                time.sleep(0.01)  # a worker refills the slot meanwhile, were it free
+                written.append(bytes(data))
+                return super().write(data)
+
+        raw = SlowFile()
+        fh = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+        simulate._write_csv_rows(fh, tuple("ABCDE"), 488, lambda start, stop: rows[start:stop])
+        fh.flush()
+        assert pools == [cpus]
+        # after the header, the block of each text: its first cell is 40 times the block
+        assert [int(float(text.split(b",")[0])) // 40 for text in written[1:]] == [*range(61)]
+        assert raw.getvalue() == ("A,B,C,D,E\r\n" + "%r,%r,%r,%r,%r\r\n" * 488
+                                  % tuple(rows.ravel().tolist())).encode()
+
+    def test_a_buffer_that_cannot_be_mapped_writes_nothing(self, tmp_path, capsys, pools,
+                                                           monkeypatch, iverson_model):
+        """The rows are then drawn here, and the text's buffer is refused as memory."""
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 61 blocks of 8 rows
+
+        def refuse(*args):
+            raise OSError(12, "Cannot allocate memory")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        model, out = tmp_path / "model.json", tmp_path / "draws.csv"
+        sc.save_model(iverson_model, model)
+        code = run_command(["simulate", "--model", str(model), "--n", "301", "--out", str(out)])
+        # 5 slots, for 2 workers, of 8 rows of 5 cells: 25 bytes a cell and one a row
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: Unable to map {5 * 8 * (25 * 5 + 1)} bytes for the CSV text\n")
+        assert pools == []
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+
+class TestReportMoments:
+    """A ``simulate`` report's mean and variance, computed on a thread of their own while
+    the files are closed and renamed, with the bits of ``rows.mean`` and ``rows.var``."""
+
+    @pytest.mark.parametrize("width", [1, 45])
+    def test_the_bits_of_mean_and_var(self, tmp_path, capsys, width):
+        names = [f"V{j}" for j in range(width)]
+        model = sc.StructuralModel.from_edges(
+            [(a, b, 0.5) for a, b in zip(names, names[1:])], variables=names,
+            intercepts={name: 0.25 * j for j, name in enumerate(names)})
+        path = tmp_path / "model.json"
+        sc.save_model(model, path)
+        code = run_command(["simulate", "--model", str(path), "--n", "3001", "--seed", "2",
+                            "--out", str(tmp_path / "draws.csv"), "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        results = json.loads(captured.out)["results"]
+        rows = sc.draw_equilibrium(model, sc.SimulationConfig(3001, seed=2)).rows
+        for key, moments in [("empirical_mean", rows.mean(axis=0)),
+                             ("empirical_variance", rows.var(axis=0, ddof=1))]:
+            assert ([float(v).hex() for v in results[key].values()]
+                    == [float(v).hex() for v in moments])
+
+    def test_an_overflowing_mean_is_reported_in_the_callers_error_state(self, tmp_path, capsys):
+        """The thread keeps the command's ``np.errstate``: under warnings as errors, numpy's
+        own state would raise the overflow's warning there instead."""
+        model = tmp_path / "model.json"
+        sc.save_model(sc.StructuralModel.from_edges(
+            [("X", "Y", 0.5)], intercepts={"X": 1e306, "Y": 1e306}), model)
+        code = run_command(["simulate", "--model", str(model), "--n", "2000",
+                            "--out", str(tmp_path / "draws.csv")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: result 'empirical_mean.X' is not finite\n"
+
+    @pytest.mark.parametrize("failure", ["overflowing-draw", "missing-directory",
+                                         "refused-rename"])
+    def test_no_thread_outlives_a_failed_draw(self, tmp_path, monkeypatch, failure):
+        moments = simulate._moments
+
+        def slow(rows):  # still running when the files fail, unless it is waited for
+            time.sleep(0.2)
+            return moments(rows)
+
+        monkeypatch.setattr(simulate, "_moments", slow)
+        intercept = 1e308 if failure == "overflowing-draw" else 1.0
+        model = sc.StructuralModel.from_edges([("X", "Y", 0.9)],
+                                              intercepts={"X": intercept, "Y": intercept})
+        out = tmp_path / ("missing" if failure == "missing-directory" else "") / "draws.csv"
+        if failure == "refused-rename":
+
+            def refuse(src, dst):
+                raise PermissionError(13, "Permission denied")
+
+            monkeypatch.setattr(os, "replace", refuse)
+        before = set(threading.enumerate())
+        with pytest.raises((ValueError, OSError)), np.errstate(all="ignore"):
+            simulate.draw_and_save(model, sc.SimulationConfig(300), out, "digest")
+        assert set(threading.enumerate()) <= before
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_small_commands_never_load_the_worker_pool(tmp_path):
