@@ -22,13 +22,14 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 import threading
 import types
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -382,12 +383,14 @@ class Dataset:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
-        """A header row, then rows of comma-separated numbers parsed by ``np.loadtxt``.
+        """A header row, then rows of comma-separated numbers, read as ``np.loadtxt``
+        reads them.
 
         Cells may be quoted and padded, blank lines are skipped, and nothing
         is a comment.  A malformed file raises :class:`InputFormatError`
         naming its first bad line.  A file of several segments is parsed a
-        segment at a time, by forked workers where they help (:func:`_read_segments`).
+        segment at a time, by forked workers where they help (:func:`_read_segments`),
+        and a segment of plain cells by an exact kernel (:func:`_plain_rows`).
         A file that is not a regular file, such as a pipe, is read into memory
         once and parsed in one pass.
         """
@@ -415,7 +418,8 @@ class Dataset:
 #: Cells per block that :func:`_write_csv_rows` hands to :func:`_csv_lines`.
 _CSV_BLOCK_CELLS = 2**18
 
-#: Cells, in whole rows, that :func:`_csv_lines` formats at a time; bounds its scratch arrays.
+#: Cells, in whole rows, that :func:`_csv_lines` formats at a time, and cells that
+#: :func:`_plain_rows` parses at a time; bounds their scratch arrays.
 _CSV_SUB_CELLS = 2**13
 
 #: Bytes of a CSV file that one worker of :meth:`Dataset.from_csv` parses per task.
@@ -631,7 +635,8 @@ def _interval(a: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(N, f)`` with ``a b = N + f`` exactly, ``N`` an integer and ``0 <= f < 1``, for
-    ``a b >= 2^53``: Dekker's two-product, with Veltkamp's split into 26-bit halves."""
+    ``2^52 <= a b < 2^63``, where ``fl(a b)`` is an integer: Dekker's two-product, with
+    Veltkamp's split into 26-bit halves."""
     s = a * b
     split = a * 134217729.0  # 2^27 + 1
     a_hi = split - (split - a)
@@ -720,7 +725,8 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     if not _utf8(header):  # refused by from_csv before any segment is parsed
         return header, None
     rows = io.BytesIO()  # each part is written and let go, not held to the end
-    for part in _fork_map(functools.partial(_parse_segment, path), zip(cuts, cuts[1:])):
+    segments = zip(cuts, cuts[1:], repeat(len(header)))
+    for part in _fork_map(functools.partial(_parse_segment, path), segments):
         if part is None:
             return None
         if len(part):  # a blank segment has no width
@@ -732,19 +738,190 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     return header, np.frombuffer(rows.getvalue()).reshape(-1, len(header) or 1)
 
 
-def _parse_segment(path, span: tuple[int, int]) -> np.ndarray | None:
-    """``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file, or None unless
-    they are UTF-8 with an even number of quotes and parse."""
-    start, stop = span
+def _parse_segment(path, segment: tuple[int, int, int]) -> np.ndarray | None:
+    """``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file whose header has
+    ``width`` cells, or None unless they are UTF-8 with an even number of quotes and
+    parse.  Rows of long plain cells are read by :func:`_plain_rows`, with the same bits."""
+    start, stop, width = segment
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(stop - start)
     if b'"' in data and data.count(b'"') % 2:
         return None
+    rows = _plain_rows(data, width) if _long_cells(data) else None
+    if rows is not None:
+        return rows
     try:  # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
         return _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     except ValueError:
         return None
+
+
+def _long_cells(data: bytes) -> bool:
+    """Whether the first 4 KiB of a segment hold cells of 16 bytes or more on average,
+    separator included, at most one in 16 of them with an exponent: the cells that
+    :func:`_plain_rows` reads faster than ``np.loadtxt``.  ``np.loadtxt``'s cost grows
+    with a cell's length, the kernel's hardly: on plain cells it took 1.15 times
+    ``np.loadtxt``'s time at 14.7 bytes a cell, and 0.9 and 0.72 times at 16.7 and 19.7."""
+    head = min(len(data), 4096)
+    cells = data.count(b",", 0, head) + data.count(b"\n", 0, head)
+    exponents = data.count(b"e", 0, head) + data.count(b"E", 0, head)
+    return head >= 16 * cells and 16 * exponents <= cells
+
+
+#: Per cell of :func:`_parse_cells`: the offsets, from its ``.``, of the word that ends
+#: at the ``.`` and of the three words after it; the digits of the cell's integer or
+#: fraction part that lie before each word's lanes; and each word's first row of
+#: ``_LANE_MASKS`` and ``_LANE_SHIFTS``.
+_WORDS_AT = np.array([[-8], [1], [9], [17]])
+_LANE_FIRST = np.array([[0], [0], [8], [16]])
+_LANE_ROW = np.array([[0], [9], [9], [9]])
+
+#: ``_LANE_MASKS[a]`` keeps the top ``a`` bytes of a word, the integer digits that end
+#: at a ``.``; ``_LANE_MASKS[9 + k]`` keeps its low ``k`` bytes, fraction digits, which
+#: a left shift by ``_LANE_SHIFTS[9 + k]`` moves to the top.
+_LANE_MASKS = np.array([2**64 - 2**(64 - 8 * k) for k in range(9)]
+                       + [2**(8 * k) - 1 for k in range(9)], np.uint64)
+_LANE_SHIFTS = np.array([0] * 9 + [8 * (8 - k) % 64 for k in range(9)], np.uint64)
+
+#: ``10**j`` for ``0 <= j <= 18``, as integers.
+_POW10_INT = np.array([10**j for j in range(19)], np.uint64)
+
+#: A cell that ``float`` and ``np.loadtxt`` read alike, which :func:`_plain_rows` reads
+#: with ``float`` where :func:`_parse_cells` does not: an exponent form, or a plain
+#: decimal with too many digits.  ``\\d`` is an ASCII digit in a bytes pattern.
+_FLOAT_CELL = rb"-?(?:(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+|\d+\.\d*|\.\d+)"
+
+
+def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
+    """``np.loadtxt``'s rows of a CSV segment of plain cells, bit for bit; None, for
+    ``np.loadtxt`` to read, where any cell or row is not plain.
+
+    The segment must be rows of ``width`` cells, separated by ``,``, each row ended by
+    ``\\n`` or ``\\r\\n`` (the last may be unended), and every cell either plain, an
+    optional ``-``, ASCII digits and one ``.``, with at least one digit, or a cell of
+    :data:`_FLOAT_CELL`.  So a quote, a space, a ``+`` sign, an integer, a blank line, a
+    bare CR or a byte that is not ASCII sends the segment to ``np.loadtxt``, and with
+    it every value, error and line number.  ``np.loadtxt`` reads a cell as ``float``
+    does, by ``PyOS_string_to_double``; on these rows it splits the same lines and cells.
+
+    The ``.``, ``,`` and ``\\n`` bytes are found in one pass; where every cell holds one
+    ``.``, they alternate.  :func:`_parse_cells` reads the plain cells, about
+    ``_CSV_SUB_CELLS`` at a time, so that its scratch arrays stay in cache.  The cells
+    that it leaves are read by ``float``; but more than one in 16 of a group sends the
+    segment to ``np.loadtxt`` at once, as a file of such cells reads faster there.
+    """
+    if not data or width < 1 or data.endswith(b"\r"):
+        return None
+    # a line end before the first cell, and room for the words around every ``.``
+    buf = b"\0" * 7 + b"\n" + data + b"\n" * (not data.endswith(b"\n")) + b"\0" * 32
+    text = np.frombuffer(buf, np.uint8)
+    hits = text[8:] == ord(".")
+    hits |= text[8:] == ord(",")
+    hits |= text[8:] == ord("\n")
+    marks = np.flatnonzero(hits) + 8
+    dot = text[marks] == ord(".")
+    if len(marks) % 2 == 0 and dot[::2].all() and not dot[1::2].any():
+        dots, seps, single = marks[::2], marks[1::2], None
+    else:  # a cell without a ``.``, or with two: each is left to float
+        at = np.flatnonzero(~dot)
+        seps, dots = marks[at], marks[at - 1]
+        single = np.diff(at, prepend=-1) == 2
+    ends = text[seps] == ord("\n")
+    if len(seps) % width or not ends[width - 1::width].all() or ends.sum() * width != len(seps):
+        return None
+    starts = np.empty_like(seps)
+    starts[0] = 8
+    starts[1:] = seps[:-1] + 1
+    stops = seps - (ends & (text[seps - 1] == ord("\r")))
+    # each word ending at a byte: a view that reads 8 bytes at every byte offset
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    values, exact = np.empty(len(seps)), np.empty(len(seps), bool)
+    for at in range(0, len(seps), _CSV_SUB_CELLS):
+        part = slice(at, at + _CSV_SUB_CELLS)
+        values[part], exact[part] = _parse_cells(text, words, dots[part], starts[part],
+                                                 stops[part])
+        if single is not None:
+            exact[part] &= single[part]
+        if np.count_nonzero(~exact[part]) * 16 > len(exact[part]):
+            return None
+    for at in np.flatnonzero(~exact).tolist():
+        cell = buf[starts[at]:stops[at]]
+        if not re.fullmatch(_FLOAT_CELL, cell):
+            return None
+        values[at] = float(cell)
+    return values.reshape(-1, width)
+
+
+def _parse_cells(text: np.ndarray, words: np.ndarray, dots: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, exact)`` of the cells ``text[starts:stops]``, each with a ``.`` at
+    ``dots``: where ``exact``, the cell is plain and ``values`` holds the double nearest
+    it, as ``float`` reads it; elsewhere ``values`` is not the cell's.  ``words[i]`` is
+    the little-endian word of ``text[i:i + 8]``.  Each step is exact:
+
+    - A cell is ``-?``, ``a`` digits, the ``.``, and ``f`` digits.  The word that ends
+      at the ``.`` holds the integer digits in its top ``a`` bytes (lanes), and the three
+      after it hold the fraction digits from their lowest; other lanes are set to 0.
+      With ``x = byte ^ 0x30`` a lane is a digit exactly when ``x < 10``, which
+      ``((x & 0x7f) + 0x76 | x) & 0x80`` tests in every lane at once: the sum is at
+      most ``0xf5``, so no lane carries into the next.
+    - Eight digits, the first in the lowest lane, give their value in three
+      multiply-shift steps that add neighbouring lanes, ``10 d0 + d1`` and so on (Lemire,
+      *Software: Practice and Experience* 51(8), 2021); a fraction word's ``k`` digits
+      are shifted into its top lanes first.  With at most 18 digits, not counting those of
+      a zero integer part, the cell is ``t = M / 10^q``, ``M < 10^18 < 2^63`` an integer
+      and ``q = f <= 18``; other cells are left.
+    - ``10^q`` is a double.  For ``M < 2^53`` so is ``M``, and one correctly rounded
+      division gives the double nearest ``t`` (Clinger, PLDI 1990).
+    - Otherwise ``c = fl(fl(M) / 10^q) = t (1 + e1)(1 + e2)``, ``|ei| <= 2^-53``, so
+      ``|t - c| < 2^-51 t``.  Write ``c = m 2^e``, ``1/2 <= m < 1``, and ``g = 2^(e-53)``,
+      its ulp.  Dekker's two-product (:func:`_two_product`; ``c 10^q >= 2^52``) gives
+      ``c 10^q = N + r`` exactly, ``N`` an integer and ``0 <= r < 1``, so the residual
+      ``D = M - c 10^q = (M - N) - r``.  ``D`` is a multiple of ``min(1, g 2^q)``, as
+      ``c 10^q = (m 2^53) 5^q g 2^q``, and ``g > c 2^-53 > 10^-q / 2``, so of
+      ``min(1, 5^-q / 2) > 2^-44``; and ``|D| < 2^-51 M < 2^9``.  So ``D`` is a double,
+      and the subtraction computes it exactly.
+    - The half-gap ``H = g 10^q / 2`` is ``10^q`` scaled by a power of two, also exact.
+      Unless ``c`` or ``c - g`` is a power of two, below which the gap is halved,
+      ``c - g``, ``c`` and ``c + g`` are doubles spaced by ``g`` with at least ``g`` to
+      the next on either side.  So ``t = c + D / 10^q`` is nearest ``c`` for ``|D| < H``,
+      ``c + g`` for ``H < D < 3H`` and ``c - g`` for ``-3H < D < -H``.  Only the band
+      that this leaves, a midpoint ``|D| = H`` (rounded half to even), ``|D| >= 3H``,
+      and ``m <= 1/2 + 2^-53`` (``c`` or ``c - g`` a power of two), is left to ``float``.
+    - A ``-`` negates the double, which is exact; ``-0.0`` keeps its sign.
+    """
+    neg = text[starts] == ord("-")
+    whole = dots - starts - neg
+    frac = stops - dots - 1
+    lanes = np.clip(np.stack([whole, frac, frac, frac]) - _LANE_FIRST, 0, 8)
+    rows = lanes + _LANE_ROW
+    x = (words[dots + _WORDS_AT] ^ np.uint64(0x3030303030303030)) & np.take(_LANE_MASKS, rows)
+    bad = (((x & np.uint64(0x7F7F7F7F7F7F7F7F)) + np.uint64(0x7676767676767676)) | x)
+    bad &= np.uint64(0x8080808080808080)
+    x <<= np.take(_LANE_SHIFTS, rows)
+    x = (x * np.uint64(10) + (x >> np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
+    x = (x * np.uint64(100) + (x >> np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
+    x = (x * np.uint64(10000) + (x >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+    exact = ((bad[0] | bad[1] | bad[2] | bad[3]) == 0) & (whole <= 8) & (whole + frac > 0)
+    exact &= frac + whole * (x[0] != 0) <= 18
+    digits = (x[1] * np.take(_POW10_INT, lanes[2]) + x[2]) * np.take(_POW10_INT, lanes[3]) + x[3]
+    digits = x[0] * np.take(_POW10_INT, frac, mode="clip") + digits
+    digits = np.where(exact, digits, np.uint64(0)).view(np.int64)
+    scale = np.take(_POW10, frac + 5, mode="clip")
+    values = digits.astype(float) / scale
+    big = digits >= 2**53
+    if big.any():
+        n, r = _two_product(values, scale)
+        residual = (digits - n).astype(float) - r
+        mantissa, e = np.frexp(values)
+        half = np.ldexp(scale, e - 54)
+        step = (residual > half).astype(float) - (residual < -half)
+        values += np.ldexp(step * big, e - 53)
+        size = np.abs(residual)
+        exact &= ~big | ((size != half) & (size < 3 * half) & (mantissa > 0.5 + 2**-53))
+    np.negative(values, out=values, where=neg)
+    return values, exact
 
 
 def _fork_map(work, items) -> Iterator:

@@ -1,12 +1,14 @@
 """Sample moments and instrumental-variable estimation."""
 
 import csv
+import io
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 import zipfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -654,6 +656,257 @@ class TestParallelCsv:
         assert result.stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "obs.csv", "out.csv"]
         assert out.read_text() == "old\n"
+
+
+def _loadtxt_outcome(text: bytes):
+    """``np.loadtxt``'s rows of a segment, read as the segment reader reads it, or its error."""
+    try:
+        rows = simulate._loadtxt(io.TextIOWrapper(io.BytesIO(text), encoding="utf-8",
+                                                  newline=""))
+    except ValueError as exc:
+        return type(exc).__name__
+    return rows.shape, rows.tobytes()
+
+
+def _column(cells) -> bytes:
+    return "".join(f"{cell}\r\n" for cell in cells).encode()
+
+
+def _with_point(digits: str, q: int) -> str:
+    """The decimal ``digits / 10**q``, written with a point and without an exponent."""
+    digits = digits.rjust(q + 1, "0")
+    return f"{digits[:len(digits) - q]}.{digits[len(digits) - q:]}"
+
+
+def _midpoints(rng, count: int) -> list[str]:
+    """Cells at exact midpoints between doubles in [2^53, 2^60), with 0 to 2 digits after
+    the point, and the cells 1 above and below them in the last digit."""
+    cells = []
+    for _ in range(count):
+        exponent, mantissa = int(rng.integers(53, 60)), int(rng.integers(2**52, 2**53))
+        midpoint = Fraction(2 * mantissa + 1, 2) * 2**(exponent - 52)
+        q = int(rng.integers(0, 3))
+        scaled = midpoint * 10**q
+        assert scaled.denominator == 1
+        cells += [_with_point(str(scaled.numerator + delta), q) for delta in (-1, 0, 1)]
+    return cells
+
+
+class TestPlainCells:
+    """The exact kernel of the segment reader: every value it gives is ``float``'s and
+    ``np.loadtxt``'s, and every segment it declines is ``np.loadtxt``'s to read."""
+
+    @staticmethod
+    def _assert_read_as_float(cells) -> list[bool]:
+        """Whether the kernel computed each cell, itself, rather than ``float``: each
+        followed by enough plain cells that the segment is not declined for them."""
+        text = _column([padded for cell in cells for padded in [cell] + ["0.5"] * 16])
+        exact, parse = [], simulate._parse_cells
+
+        def spy(*args):
+            values, computed = parse(*args)
+            exact.extend(computed.tolist())
+            return values, computed
+
+        with mock.patch.object(simulate, "_parse_cells", spy):
+            rows = simulate._plain_rows(text, 1)
+        assert rows is not None
+        expected = [float(cell).hex() for cell in cells]
+        assert [value.hex() for value in rows.ravel()[::17].tolist()] == expected
+        assert _loadtxt_outcome(text) == (rows.shape, rows.tobytes())
+        return exact[::17]
+
+    def test_midpoints_and_their_neighbours(self):
+        # a decimal midpoint of at most 18 digits has at most 2 after the point and 16
+        # or more before it, so float reads these, and a tie rounds half to even
+        cells = ["9007199254740993.0", "9007199254740992.0", "9007199254740994.0",
+                 "18014398509481986.00", "18014398509481985.00", "18014398509481987.00",
+                 "9007199254740993.", "900719925474099.3", "0.9007199254740993"]
+        self._assert_read_as_float(cells + _midpoints(np.random.default_rng(26), 2100))
+
+    def test_the_nearest_decimals_to_midpoints_are_rounded_by_the_kernel(self):
+        # 18 digits just below and above the midpoint after a double in [2^-3, 2^20): the
+        # cells that a quotient fl(fl(M) / 10^q) most often puts one ulp off
+        rng = np.random.default_rng(29)
+        cells = []
+        for _ in range(3000):
+            exponent, mantissa = int(rng.integers(-3, 20)), int(rng.integers(2**52, 2**53))
+            midpoint = Fraction(2 * mantissa + 1) * Fraction(2)**(exponent - 53)
+            q = 18 - len(str(int(midpoint))) + (midpoint < 1)
+            below = midpoint.numerator * 10**q // midpoint.denominator
+            cells += [_with_point(str(below), q), _with_point(str(below + 1), q)]
+        exact = self._assert_read_as_float(cells)
+        assert exact.count(False) <= len(cells) // 100
+
+    def test_long_mantissas_and_large_powers(self):
+        rng = np.random.default_rng(27)
+        cells = []
+        for _ in range(3000):
+            digits = str(int(rng.integers(2**53, 10**18)))
+            cells.append(_with_point(digits, int(rng.integers(0, 23))))
+        cells += [_with_point(str(10**17 + k), 22) for k in range(-5, 5)]
+        exact = self._assert_read_as_float(cells)
+        assert exact.count(True) > len(cells) // 4  # those with at most 8 digits before the point
+
+    def test_random_decimals(self):
+        rng = np.random.default_rng(28)
+        cells = []
+        for _ in range(20000):
+            digits = "".join(rng.choice(list("0123456789"), int(rng.integers(1, 20))))
+            cell = _with_point("0" * int(rng.integers(0, 3)) + digits,
+                               int(rng.integers(0, len(digits) + 1)))
+            cells.append(cell if rng.random() < 0.5 else "-" + cell)
+        self._assert_read_as_float(cells)
+
+    @pytest.mark.parametrize("cell", ["-0.0", "0.0", ".5", "5.", "-.5", "-5.", "0.000123",
+                                      "-0.0001", "00.25", "0.10000000000000001",
+                                      "1e-05", "-2.5e-07", "1.5E+16", "3.e2", ".5e1",
+                                      "12345678.5", "-0.00012345678901234567", "1e400"])
+    def test_signs_zeros_points_and_exponents(self, cell):
+        self._assert_read_as_float([cell, "1.5", cell])
+
+    @pytest.mark.parametrize("text", [
+        b"9007199254740993\r\n", b"1.5,2\r\n", b"1.5, 2.5\r\n", b"+1.5,2.5\r\n",
+        b'"1.5",2.5\r\n', b"1.5,2.5\r\n\r\n3.5,4.5\r\n", b"1.5,2.5\r3.5,4.5\r\n",
+        b"1.5,2.5\r", b"1.5,2.5,3.5\r\n", b"nan,2.5\r\n", b"1_000.5,2.5\r\n",
+        "١.5,2.5\r\n".encode(), b"1.5.5,2.5\r\n", b".,2.5\r\n", b"-.,2.5\r\n",
+        b"1.5,\r\n", b"1.5,2.5\r\n3.5\r\n",
+    ], ids=["integer", "integer-cell", "padded", "plus", "quoted", "blank-line", "bare-cr",
+            "final-bare-cr", "ragged", "nan", "underscore", "arabic-indic-digit",
+            "two-points", "bare-point", "signed-bare-point", "empty-cell", "short-row"])
+    def test_other_segments_are_declined(self, text):
+        assert simulate._plain_rows(text, 2 - (text == b"9007199254740993\r\n")) is None
+
+    def test_more_than_one_cell_in_16_left_to_float_is_declined(self):
+        assert simulate._plain_rows(b"1.5,2.5\r\n" * 6 + b"1e5,2.5\r\n", 2) is None
+        assert simulate._plain_rows(b"1.5,2.5\r\n" * 7 + b"1e5,2.5\r\n", 2)[7, 0] == 1e5
+
+    def test_a_final_row_without_a_line_end(self):
+        assert simulate._plain_rows(b"1.5,2.5\r\n-3.5,4.", 2).tolist() == [[1.5, 2.5],
+                                                                          [-3.5, 4.0]]
+
+
+#: Plain cells that the kernel reads: a sign, digits and one point.
+_PLAIN_CELLS = st.builds("{}{}.{}".format, st.sampled_from(["", "-"]),
+                         st.text("0123456789", max_size=6), st.text("0123456789", max_size=12))
+_PLAIN_CELLS = _PLAIN_CELLS.filter(lambda cell: cell.strip("-") != ".")
+
+#: Every other form of cell that a CSV segment may hold.
+_AWKWARD_CELLS = st.one_of(
+    st.builds("{}e{}{}".format,
+              st.sampled_from(["1", "1.5", "-2.", ".5", "-0.25", "12345678901234567890.1"]),
+              st.sampled_from(["", "-", "+"]), st.integers(0, 400)),
+    st.integers(-10**20, 10**20).map(str),
+    st.integers(10**7, 10**20).map("{}.5".format),
+    st.builds("{}{}.{}".format, st.sampled_from(["", "-"]),
+              st.text("0123456789", max_size=12), st.text("0123456789", max_size=24)),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["+1.5", " 1.5", "1.5 ", '"1.5"', '"-2."', "nan", "-inf", "1_000.5",
+                     "\u0661.5", "1.\u0665", "1.5\u00a0", ".", "-.", "", "1.5.5", "--1.5",
+                     "1.5-", "1.5\r2.5"]),
+)
+
+
+@st.composite
+def _segments(draw):
+    """``(width, text)``: rows of ``width`` cells, plain or one in 4 or 16 awkward, with
+    either line end; in one segment of 4, now and then a ragged row, a blank line or a
+    bare CR."""
+    width = draw(st.integers(1, 4))
+    messy = draw(st.integers(0, 3)) == 0
+    odds = draw(st.sampled_from([0, 4, 16]))
+    cells = (st.integers(1, odds).flatmap(lambda k: _AWKWARD_CELLS if k == 1 else _PLAIN_CELLS)
+             if odds else _PLAIN_CELLS)
+    lines = []
+    for _ in range(draw(st.integers(1, 30))):
+        size = width + (messy and draw(st.sampled_from([0] * 8 + [-1, 1])))
+        end = draw(st.sampled_from(["\n", "\r\n"] * 4 + ["\r\n\r\n", "\r"] * messy))
+        lines.append(",".join(draw(st.lists(cells, min_size=size, max_size=size))) + end)
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return width, text.encode()
+
+
+class TestPlainCellsFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(segment=_segments())
+    def test_an_accepted_segment_has_the_bits_of_loadtxt(self, segment):
+        width, text = segment
+        rows = simulate._plain_rows(text, width)
+        if rows is not None:
+            assert _loadtxt_outcome(text) == (rows.shape, rows.tobytes())
+
+    @settings(max_examples=100, deadline=None)
+    @given(segment=_segments())
+    def test_files_in_small_segments_read_as_the_single_pass(self, tmp_path_factory, segment):
+        width, text = segment
+        path = tmp_path_factory.mktemp("csv") / "obs.csv"
+        path.write_bytes(",".join("ABCD"[:width]).encode() + b"\r\n" + text)
+        # every segment goes to the kernel, whatever the length of its cells
+        with mock.patch.object(simulate, "_CSV_SEGMENT_BYTES", 64), \
+                mock.patch.object(simulate, "_long_cells", lambda data: True), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            in_segments = _outcome(path)
+            with mock.patch.object(simulate, "_read_segments", lambda path: None):
+                assert in_segments == _outcome(path)
+
+
+def _chain(width: int) -> sc.StructuralModel:
+    variables = [f"V{i}" for i in range(width)]
+    return sc.StructuralModel.from_edges(list(zip(variables, variables[1:], [0.5] * width)),
+                                         variables=variables)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """The segments, by their line count, that ``simulate._loadtxt`` read in this process,
+    on one CPU, so that every segment is read here."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    calls, loadtxt = [], simulate._loadtxt
+
+    def spy(lines):
+        rows = loadtxt(lines)
+        calls.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(simulate, "_loadtxt", spy)
+    return calls
+
+
+class TestPlainCellsRoute:
+    @pytest.mark.parametrize("law", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("width", [5, 40])
+    def test_no_segment_of_a_simulated_file_reaches_loadtxt(self, tmp_path, monkeypatch, route,
+                                                           loadtxt_calls, law, width):
+        model = sc.iverson_model() if width == 5 else _chain(width)
+        path = tmp_path / "draws.csv"
+        data = simulate.draw_and_save(model, sc.SimulationConfig(20000 // width, seed=26,
+                                                                 law=law),
+                                      path, "digest")[0]
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 2**14)
+        route()  # forget the write
+        assert _outcome(path) == (model.variables, data.rows.tobytes())
+        spans, whole = route()
+        assert len(spans) > 10 and not whole
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace(b"\r\n", b"\r\n\r\n", 1),
+        lambda text: text.replace(b",", b" , ", 1),
+        lambda text: text.replace(b"\r\n", b"\r\n7,8,9,10,11\r\n", 1),
+    ], ids=["blank-line", "padded-cell", "integer-cells"])
+    def test_a_segment_of_other_cells_reaches_loadtxt(self, tmp_path, monkeypatch,
+                                                     loadtxt_calls, edit):
+        data = sc.draw_equilibrium(sc.iverson_model(), sc.SimulationConfig(4000, seed=27))
+        path = tmp_path / "obs.csv"
+        data.to_csv(path)
+        header, body = path.read_bytes().split(b"\r\n", 1)
+        path.write_bytes(header + b"\r\n" + body[:2**14] + edit(body[2**14:]))
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 2**14)
+        outcome = _outcome(path)
+        assert loadtxt_calls and outcome[0] == data.columns
+        assert outcome == _single_pass_outcome(path, monkeypatch)
 
 
 class TestIVEstimate:
