@@ -249,30 +249,21 @@ def save_run(
 
 def draw_and_save(model: StructuralModel, config: SimulationConfig, path: str | Path,
                   digest: str) -> tuple[Dataset, Path, tuple[np.ndarray, np.ndarray]]:
-    """``draw_equilibrium(model, config)``, then :func:`save_run`: the same dataset, files
-    and errors, and the sidecar path; but each block of the CSV is drawn by the worker that
+    """``draw_equilibrium(model, config)``, then :func:`save_run`: the same dataset and
+    files, and the sidecar path; but each block of the CSV is drawn by the worker that
     formats it, into one buffer mapped before the workers fork and shared by all, so that
     no row is sent back.  The dataset is built, and its values checked, before either file
-    is replaced.  Where the rows' buffer cannot be mapped, they are drawn here, as by
-    :func:`draw_equilibrium`, and numpy refuses an impossible ``n`` in its own words.
+    is replaced.  Rows whose buffer cannot be mapped are refused by :func:`_mapped`, before
+    any file is opened or any worker starts.
 
     Also returns the rows' mean and sample variance, the :func:`_moments` that a report
     gives, computed on a thread while the files are closed and renamed.
     """
-    import mmap  # here, so that only a draw loads it
-
     inverse, _, n = _prepared(model, config, None)
-    try:
-        rows = np.frombuffer(mmap.mmap(-1, n * model.n_variables * 8))
-        shared = True
-    except (OSError, OverflowError):  # no room to map: drawn here, or refused in numpy's words
-        rows, shared = _equilibrium_rows(model, config, inverse, 0, n), False
-    rows = rows.reshape(n, model.n_variables)
+    rows = np.frombuffer(_mapped(n * model.n_variables * 8, "rows")).reshape(n, -1)
 
     def block(start: int, stop: int) -> np.ndarray:
-        if shared:
-            _equilibrium_rows(model, config, inverse, start, stop, out=rows[start:stop])
-        return rows[start:stop]
+        return _equilibrium_rows(model, config, inverse, start, stop, out=rows[start:stop])
 
     moments = None
 
@@ -438,11 +429,9 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     Each block's text goes into a slot of one buffer, mapped before the workers fork and
     shared with them, and only its length comes back, so no text is pickled.  There are
     ``_window(workers) + 1`` slots, used in turn, so that a slot is filled again only
-    after the text it held is written.  A buffer that cannot be mapped is refused as a
-    :class:`MemoryError`.
+    after the text it held is written.  A buffer that cannot be mapped is refused by
+    :func:`_mapped`; the buffer is closed on every path.
     """
-    import mmap  # here, so that only a CSV writer loads it
-
     csv.writer(fh).writerow(columns)
     fh.flush()  # the rows are bytes, written below the text layer
     if not n:  # nothing to map: mmap refuses an empty buffer
@@ -452,10 +441,6 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     # each cell's repr takes at most 24 bytes and is followed by "," or "\r\n"
     size = min(step, n) * max(25 * len(columns) + 1, 2)
     ring = min(len(starts), _window(_workers(len(starts))) + 1)
-    try:
-        text = mmap.mmap(-1, ring * size)
-    except OSError:
-        raise MemoryError(f"Unable to map {ring * size} bytes for the CSV text") from None
 
     def put(index: int) -> int:
         start = starts[index]
@@ -464,11 +449,24 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
         text[at:at + len(lines)] = lines
         return len(lines)
 
-    with memoryview(text) as view:
+    with _mapped(ring * size, "CSV text") as text, memoryview(text) as view:
         for index, length in enumerate(_fork_map(put, range(len(starts)))):
             at = (index % ring) * size
-            fh.buffer.write(view[at:at + length])
-    text.close()
+            # released here, or a raising write's traceback would keep text from closing
+            with view[at:at + length] as part:
+                fh.buffer.write(part)
+
+
+def _mapped(size: int, what: str):
+    """An anonymous ``mmap`` of ``size`` bytes, which forked workers share with this
+    process; one that cannot be mapped, such as for an impossible row count, is refused
+    as a :class:`MemoryError` naming its size and ``what`` it holds."""
+    import mmap  # here, so that only a draw or a CSV writer loads it
+
+    try:
+        return mmap.mmap(-1, size)
+    except (OSError, OverflowError):  # no room, or a size past what mmap can take
+        raise MemoryError(f"Unable to map {size} bytes for the {what}") from None
 
 
 def _csv_lines(block: np.ndarray) -> bytes:

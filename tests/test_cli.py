@@ -475,8 +475,13 @@ class TestSimulateCommand:
         ("no-variables", "3", "model has no variables to draw"),
         ("one-row", "1", "simulate needs --n of at least 2, got 1"),
         ("no-rows", "0", "simulate needs --n of at least 2, got 0"),
-        # 10^14 rows of 8 doubles: numpy refuses the allocation at once
-        ("unallocatable", "100000000000000", "Unable to allocate "),
+        # 10^14 rows of 5 doubles: no buffer that size can be mapped; past 2^63 bytes, or
+        # rows, mmap cannot take the size at all, and the refusal is the same
+        ("unallocatable", "100000000000000", "Unable to map 4000000000000000 bytes for the rows"),
+        ("bytes-past-int64", "1000000000000000000",
+         "Unable to map 40000000000000000000 bytes for the rows"),
+        ("rows-past-int64", "10000000000000000000",
+         "Unable to map 400000000000000000000 bytes for the rows"),
     ])
     def test_refused_draw_writes_nothing(self, model_file, tmp_path, capsys, case, n, message):
         if case == "no-variables":

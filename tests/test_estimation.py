@@ -270,6 +270,16 @@ _ROWS = "1,2,3\r\n2,1,5\r\n4,4,1\r\n"
 _PARSED = [[1.0, 2.0, 3.0], [2.0, 1.0, 5.0], [4.0, 4.0, 1.0]]
 
 
+@pytest.fixture
+def segment_bytes(request, monkeypatch):
+    """Reads in segments of the test class's ``SEGMENT_BYTES``, where it sets one; a
+    test that sets its own segment size keeps it."""
+    size = getattr(request.cls, "SEGMENT_BYTES", None)
+    if size:
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", size)
+
+
+@pytest.mark.usefixtures("segment_bytes")
 class TestMalformedCsv:
     """Each malformed file gives the outcome the row-at-a-time reader gave.
 
@@ -453,6 +463,7 @@ def _with_row(row: str, header: str = _HEADER) -> bytes:
     return (header + "".join(_BODY[:20]) + row + "".join(_BODY[20:])).encode()
 
 
+@pytest.mark.usefixtures("segment_bytes")
 class TestParallelCsv:
     """A file of several blocks or segments is formatted or parsed by forked workers,
     with the bytes and bits of the single pass."""
@@ -462,7 +473,7 @@ class TestParallelCsv:
         values = np.random.default_rng(3).standard_normal((301, 7))
         values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
         _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
-        assert pools == [2]  # 61 blocks on two workers; the file is one segment
+        assert pools[0] == 2  # 61 blocks on two workers, then the read
 
     @pytest.mark.parametrize("edit, started", [
         (lambda text: text, True),
@@ -656,6 +667,18 @@ class TestParallelCsv:
         assert result.stderr.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "obs.csv", "out.csv"]
         assert out.read_text() == "old\n"
+
+
+class TestMalformedCsvInSegments(TestMalformedCsv):
+    """The same outcomes where every file of more than one short line is read in segments."""
+
+    SEGMENT_BYTES = 64
+
+
+class TestParallelCsvInSegments(TestParallelCsv):
+    """The same outcomes where every file of more than one short line is read in segments."""
+
+    SEGMENT_BYTES = 64
 
 
 def _loadtxt_outcome(text: bytes):

@@ -269,7 +269,8 @@ class TestSeededBits:
 
 class TestDrawInWorkers:
     """A ``simulate`` of several blocks draws each block in the worker that formats it,
-    with the files, report and errors of ``draw_equilibrium`` followed by ``save_run``."""
+    with the files and report of ``draw_equilibrium`` followed by ``save_run``; a draw
+    that overflows is refused with its error."""
 
     UNSTABLE = sc.StructuralModel.from_edges([("X", "Y", 1.5), ("Y", "X", 0.8)],
                                              variables=["Y", "X"])
@@ -285,25 +286,16 @@ class TestDrawInWorkers:
         assert (code, captured.err) == (0, "")
         return out, json.loads(captured.out)
 
-    @pytest.mark.parametrize("cpus", ["one-cpu", "two-cpus", "four-cpus", "two-cpus-unmapped"])
+    @pytest.mark.parametrize("cpus", ["one-cpu", "two-cpus", "four-cpus"])
     @pytest.mark.parametrize("branch", ["observational", "plan"])
     @pytest.mark.parametrize("law", ["gaussian", "uniform"])
     def test_the_library_bits(self, tmp_path, capsys, pools, monkeypatch, iverson_model,
                               cpus, branch, law):
-        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 61 blocks of 8 rows
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 38 blocks of 8 rows
         if cpus == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         elif cpus == "four-cpus":  # more workers than most machines have cores
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-        elif cpus == "two-cpus-unmapped":  # the rows are drawn here, the workers format them
-            real = mmap.mmap
-
-            def refuse(fileno, length):  # the rows' buffer, not the text's
-                if length == 301 * 5 * 8:
-                    raise OSError(12, "Cannot allocate memory")
-                return real(fileno, length)
-
-            monkeypatch.setattr(mmap, "mmap", refuse)
         plan = ["--treatment", "X", "--response", "Y", "--x", "1.5", "--a", "0.2",
                 "--sigma-eps", "0.5"] if branch == "plan" else []
         out, report = self._simulate(tmp_path, capsys, iverson_model, "--law", law, *plan)
@@ -361,7 +353,33 @@ class TestDrawInWorkers:
 
 class TestTextBuffer:
     """The workers format each block into a slot of one shared buffer and send back only
-    its length; a slot is filled again only after the parent has written its text."""
+    its length; a slot is filled again only after the parent has written its text.  The
+    rows and the text are mapped, refused and closed by one rule (``simulate._mapped``)."""
+
+    #: The bytes of each buffer of a 301-row Iverson ``simulate`` in 38 blocks of 8 rows: the
+    #: rows, and 5 text slots, for 2 workers, of 8 rows of 5 cells, 25 bytes a cell and 1 a row.
+    SIZES = {"rows": 301 * 5 * 8, "CSV text": 5 * 8 * (25 * 5 + 1)}
+
+    def _simulate(self, tmp_path, capsys, monkeypatch, iverson_model):
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 38 blocks of 8 rows
+        model, out = tmp_path / "model.json", tmp_path / "draws.csv"
+        sc.save_model(iverson_model, model)
+        code = run_command(["simulate", "--model", str(model), "--n", "301", "--out", str(out)])
+        return code, capsys.readouterr().err
+
+    @pytest.fixture
+    def texts(self, monkeypatch):
+        """The text buffers that the test maps."""
+        real, texts = mmap.mmap, []
+
+        def spy(fileno, length):
+            buffer = real(fileno, length)
+            if length == self.SIZES["CSV text"]:
+                texts.append(buffer)
+            return buffer
+
+        monkeypatch.setattr(mmap, "mmap", spy)
+        return texts
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_no_slot_is_refilled_before_the_parent_writes_it(self, pools, monkeypatch, cpus):
@@ -386,23 +404,50 @@ class TestTextBuffer:
         assert raw.getvalue() == ("A,B,C,D,E\r\n" + "%r,%r,%r,%r,%r\r\n" * 488
                                   % tuple(rows.ravel().tolist())).encode()
 
+    @pytest.mark.parametrize("what", ["rows", "CSV text"], ids=["rows", "text"])
     def test_a_buffer_that_cannot_be_mapped_writes_nothing(self, tmp_path, capsys, pools,
-                                                           monkeypatch, iverson_model):
-        """The rows are then drawn here, and the text's buffer is refused as memory."""
-        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 61 blocks of 8 rows
+                                                           monkeypatch, iverson_model, what):
+        """Either buffer is refused as memory, in one line, before any worker or thread."""
+        real = mmap.mmap
 
-        def refuse(*args):
-            raise OSError(12, "Cannot allocate memory")
+        def refuse(fileno, length):
+            if length == self.SIZES[what]:
+                raise OSError(12, "Cannot allocate memory")
+            return real(fileno, length)
 
         monkeypatch.setattr(mmap, "mmap", refuse)
-        model, out = tmp_path / "model.json", tmp_path / "draws.csv"
-        sc.save_model(iverson_model, model)
-        code = run_command(["simulate", "--model", str(model), "--n", "301", "--out", str(out)])
-        # 5 slots, for 2 workers, of 8 rows of 5 cells: 25 bytes a cell and one a row
-        assert (code, capsys.readouterr().err) == (
-            2, f"error: Unable to map {5 * 8 * (25 * 5 + 1)} bytes for the CSV text\n")
+        threads = threading.active_count()
+        assert self._simulate(tmp_path, capsys, monkeypatch, iverson_model) == (
+            2, f"error: Unable to map {self.SIZES[what]} bytes for the {what}\n")
         assert pools == []
+        assert threading.active_count() == threads
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_a_failed_worker_leaves_the_text_buffer_closed(self, tmp_path, capsys, pools,
+                                                           monkeypatch, iverson_model, texts):
+        monkeypatch.setattr(simulate, "_csv_lines", lambda block: 1 / 0)  # in each worker
+        assert self._simulate(tmp_path, capsys, monkeypatch, iverson_model) == (
+            2, "error: a CSV worker process failed: ZeroDivisionError: division by zero\n")
+        assert pools == [2]
+        assert [text.closed for text in texts] == [True]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
+
+    def test_a_failed_write_raises_its_error_and_closes_the_buffer(self, pools, monkeypatch,
+                                                                    texts):
+        monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)  # 38 blocks of 8 rows
+        rows = np.zeros((301, 5))
+
+        class FullFile(io.BytesIO):
+            def write(self, data):  # the header, then no block
+                if self.tell():
+                    raise OSError(28, "No space left on device")
+                return super().write(data)
+
+        fh = io.TextIOWrapper(FullFile(), encoding="utf-8", newline="")
+        with pytest.raises(OSError, match="No space left on device"):
+            simulate._write_csv_rows(fh, tuple("ABCDE"), 301, lambda start, stop: rows[start:stop])
+        assert pools == [2]
+        assert [text.closed for text in texts] == [True]
 
 
 class TestReportMoments:
