@@ -585,16 +585,18 @@ def run_command(argv) -> int:
 
 def _print(text: str, stream=None) -> None:
     """Print a line to stdout, or ``stream``, as UTF-8 whatever the locale, with a path's
-    undecodable bytes as they came; a reader that closed the pipe early is an ``OSError``."""
+    undecodable bytes as they came.  A stream that fails then goes to ``os.devnull``: a
+    failed stdout is an ``OSError`` naming ``<stdout>``, and a failed stderr is silent."""
     stream = stream or sys.stdout
     try:
         stream.flush()
         stream.buffer.write(text.encode("utf-8", "surrogateescape") + b"\n")
         stream.buffer.flush()
-    except BrokenPipeError as exc:
+    except OSError as exc:
         # the stream now goes nowhere, so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-        raise OSError(exc.errno, exc.strerror, stream.name) from None
+        if stream is sys.stdout:
+            raise OSError(exc.errno, exc.strerror, stream.name) from None
 
 
 def main() -> None:

@@ -632,27 +632,26 @@ def _write_whole(path: str | Path, newline: str | None = None):
     """A UTF-8 text handle whose content replaces ``path`` once the block ends without an error.
 
     The text goes to a new file beside ``path`` that is then renamed over it, so
-    ``path`` ends up whole or as it was.  An ``OSError`` names ``path``.  A terminal or
-    a pipe, which cannot be replaced, is written in place.
+    ``path`` ends up whole or as it was.  A terminal, pipe or device, which cannot be
+    replaced, is its own new file, written in place.  An ``OSError`` names ``path``.
     """
     path = Path(path)
-    if path.is_char_device() or path.is_fifo():
-        with open(path, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = str(path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp"))
+    in_place = path.is_char_device() or path.is_fifo()
+    tmp = str(path if in_place else path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp"))
     try:
         if path.is_dir():  # refused before the block's work rather than at the rename
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fh = open(tmp, "x", newline=newline, encoding="utf-8")
+        fh = open(tmp, "w" if in_place else "x", newline=newline, encoding="utf-8")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, path)
     except BaseException as exc:
-        os.unlink(tmp)
+        if not in_place:
+            os.unlink(tmp)
         if isinstance(exc, OSError) and exc.filename in (None, tmp):  # not a nested file's
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

@@ -334,7 +334,7 @@ def _save_run(path, digest: str, config: SimulationConfig, n: int,
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A rectangular table of observations, one column per model variable.  A read-only
+    """A table of observations, one column per model variable and at least one.  A read-only
     float ``rows`` array is kept as it is; any other is copied, so the caller's stays its own."""
 
     columns: tuple[str, ...]
@@ -342,13 +342,13 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
+        if not self.columns:
+            raise ValueError("a dataset needs at least one column")
         rows = np.asarray(self.rows, dtype=float)
         if rows.flags.writeable:
             rows = rows.copy()
         if rows.ndim != 2 or rows.shape[1] != len(self.columns):
-            raise ValueError(
-                f"rows must be (n, {len(self.columns)}), got {rows.shape}"
-            )
+            raise ValueError(f"rows must be (n, {len(self.columns)}), got {rows.shape}")
         if len(set(self.columns)) != len(self.columns):
             raise ValueError("duplicate column names")
         if not np.isfinite(rows).all():
@@ -436,10 +436,10 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     fh.flush()  # the rows are bytes, written below the text layer
     if not n:  # nothing to map: mmap refuses an empty buffer
         return
-    step = max(1, _CSV_BLOCK_CELLS // max(len(columns), 1))
+    step = max(1, _CSV_BLOCK_CELLS // len(columns))
     starts = range(0, n, step)
     # each cell's repr takes at most 24 bytes and is followed by "," or "\r\n"
-    size = min(step, n) * max(25 * len(columns) + 1, 2)
+    size = min(step, n) * (25 * len(columns) + 1)
     ring = min(len(starts), _window(_workers(len(starts))) + 1)
 
     def put(index: int) -> int:
@@ -479,8 +479,6 @@ def _csv_lines(block: np.ndarray) -> bytes:
     ``_CSV_SUB_CELLS`` cells at a time, with one ``%`` call for the ``repr`` cells among them.
     """
     rows, width = block.shape
-    if not width:
-        return b"\r\n" * rows
     step = max(1, _CSV_SUB_CELLS // width)
     masks = _slot_masks()
     return b"".join(_format_cells(block[start:start + step].ravel(), width, masks)

@@ -51,6 +51,24 @@ def unstable_model_file(tmp_path):
     return str(path)
 
 
+#: For tests on ``/dev/full``, a device on which every write fails with ENOSPC.
+needs_full_device = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+def full_device_link(tmp_path):
+    """A link to ``/dev/full`` in ``tmp_path``, so that a sidecar beside it can be made."""
+    link = tmp_path / "link"
+    link.symlink_to("/dev/full")
+    return link
+
+
+def cli_process(argv, **kwargs):
+    """A ``semcontrol`` process running ``argv`` from this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).parent.parent)}
+    return subprocess.Popen([sys.executable, "-c", "from semcontrol.cli import main; main()",
+                             *argv], env=env, text=True, **kwargs)
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -816,9 +834,11 @@ class TestReports:
         payload = json.loads(report_path.read_text())
         assert payload["command"] == "stability"
 
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory",
+                                        pytest.param("full-device", marks=needs_full_device)])
     def test_unwritable_report_exits_two_naming_it(self, model_file, tmp_path, capsys, target):
-        out = tmp_path / "missing" / "r.json" if target == "missing-directory" else tmp_path
+        out = (tmp_path / "missing" / "r.json" if target == "missing-directory"
+               else full_device_link(tmp_path) if target == "full-device" else tmp_path)
         code = run_command(["effects", "--model", model_file, "--treatment", "X",
                             "--response", "Y", "--out", str(out)])
         err = capsys.readouterr().err
@@ -863,17 +883,37 @@ class TestReports:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["model.json", "draws.csv", "draws.csv.meta.json"])
 
-    def test_closed_stdout_pipe_exits_two_without_a_traceback(self):
-        env = {**os.environ, "PYTHONPATH": str(Path(sc.__file__).parent.parent)}
-        with subprocess.Popen(
-            [sys.executable, "-c", "from semcontrol.cli import main; main()",
-             "reproduce-iverson"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
-        ) as proc:
-            proc.stdout.close()  # before the report: the command takes longer to start
+    @needs_full_device
+    def test_simulate_into_a_full_device_names_it(self, model_file, tmp_path, capsys):
+        link = full_device_link(tmp_path)
+        code = run_command(["simulate", "--model", model_file, "--n", "301", "--out", str(link)])
+        assert (code, capsys.readouterr().err) == (
+            2, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{link}'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "model.json"]
+
+    @pytest.mark.parametrize("stdout", ["closed-pipe",
+                                        pytest.param("full-device", marks=needs_full_device)])
+    def test_closed_stdout_pipe_exits_two_without_a_traceback(self, model_file, tmp_path,
+                                                              stdout):
+        full = stdout == "full-device"
+        argv = ["validate", "--model", model_file] if full else ["reproduce-iverson"]
+        with open(full_device_link(tmp_path) if full else os.devnull, "w") as device, \
+                cli_process(argv, stdout=device if full else subprocess.PIPE,
+                            stderr=subprocess.PIPE) as proc:
+            if not full:
+                proc.stdout.close()  # before the report: the command takes longer to start
             err = proc.stderr.read()
             assert proc.wait(timeout=120) == 2
-        assert err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}: '<stdout>'\n"
+        fault = errno.ENOSPC if full else errno.EPIPE
+        assert err == f"error: [Errno {fault}] {os.strerror(fault)}: '<stdout>'\n"
+
+    @needs_full_device
+    @pytest.mark.parametrize("argv, code", [(["validate", "--model", "/nonexistent"], 2),
+                                            (["validate"], 1)])
+    def test_an_error_line_that_cannot_be_printed_keeps_its_exit_code(self, argv, code):
+        with open("/dev/full", "w") as full, cli_process(argv, stdout=subprocess.PIPE,
+                                                         stderr=full) as proc:
+            assert (proc.stdout.read(), proc.wait(timeout=120)) == ("", code)
 
     def test_identical_invocations_identical_reports(self, model_file, capsys):
         argv = ["effects", "--model", model_file, "--treatment", "X", "--response", "Y",

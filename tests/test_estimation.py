@@ -90,6 +90,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="duplicate"):
             sc.Dataset(("A", "A"), np.zeros((2, 2)))
 
+    def test_no_columns_rejected(self):
+        """No CSV line can hold a row of no cells, so no dataset has one."""
+        with pytest.raises(ValueError, match="at least one column"):
+            sc.Dataset((), np.empty((3, 0)))
+
     def test_csv_round_trip(self, tmp_path, loop_with_instrument):
         data = sc.draw_equilibrium(loop_with_instrument, sc.SimulationConfig(50, seed=9))
         path = tmp_path / "draws.csv"

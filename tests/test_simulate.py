@@ -485,6 +485,16 @@ class TestReportMoments:
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: result 'empirical_mean.X' is not finite\n"
 
+    def test_an_error_of_the_thread_is_raised_in_the_caller(self, tmp_path):
+        model = sc.StructuralModel.from_edges([("X", "Y", 0.5)],
+                                              intercepts={"X": 1e306, "Y": 1e306})
+        before = set(threading.enumerate())
+        with pytest.raises(FloatingPointError, match="overflow encountered in reduce"), \
+                np.errstate(over="raise"):
+            simulate.draw_and_save(model, sc.SimulationConfig(2000), tmp_path / "draws.csv",
+                                   "digest")
+        assert set(threading.enumerate()) <= before
+
     @pytest.mark.parametrize("failure", ["overflowing-draw", "missing-directory",
                                          "refused-rename"])
     def test_no_thread_outlives_a_failed_draw(self, tmp_path, monkeypatch, failure):
