@@ -100,11 +100,13 @@ def _text_items(mapping: dict, indent: int) -> list[str]:
     return lines
 
 
-def _names(raw: str | None, flag: str) -> tuple[str, ...]:
+def _names(raw: str | None, flag: str, required: bool = False) -> tuple[str, ...]:
     names = tuple(name.strip() for name in (raw or "").split(",") if name.strip())
     repeated = [name for i, name in enumerate(names) if name in names[:i]]
     if repeated:
         raise UsageError(f"{flag} names {repeated[0]} more than once")
+    if required and not names:
+        raise UsageError(f"{flag} expects at least one variable name")
     return names
 
 
@@ -336,6 +338,7 @@ def _cmd_plan_eval(args):
 
 def _cmd_plan_optimize(args):
     _require(args, "--W")
+    _names(args.W, "--W", required=True)
     analysis = _Analysis(args)
     report = Report("plan-optimize", inputs=_plan_inputs(analysis))
     plan = analysis.plan
@@ -354,9 +357,7 @@ def _cmd_estimate(args):
     if not _moment_source(args):
         raise UsageError("estimate requires --cov or --data")
     _require(args, "--treatment", "--response", "--instruments")
-    instruments = _names(args.instruments, "--instruments")
-    if not instruments:
-        raise UsageError("--instruments expects at least one variable name")
+    instruments = _names(args.instruments, "--instruments", required=True)
     moments = _read_moments(args, (args.treatment, args.response, *instruments))
     if len(instruments) == 1:
         est = iv_estimate(moments, args.treatment, args.response, instruments[0])
@@ -377,7 +378,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_simulate(args):
-    _require(args, "--out")
+    if not args.out:  # also an empty --out, which names no file
+        raise UsageError("simulate requires --out")
     planned = bool(args.plan or args.treatment)
     ignored = _given(args, *_PLAN_FLAGS, "--response", "--F", "--W", "--cov", "--data")
     if not planned and ignored:

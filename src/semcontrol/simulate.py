@@ -783,10 +783,10 @@ _LANE_SHIFTS = np.array([0] * 9 + [8 * (8 - k) % 64 for k in range(9)], np.uint6
 #: ``10**j`` for ``0 <= j <= 18``, as integers.
 _POW10_INT = np.array([10**j for j in range(19)], np.uint64)
 
-#: A cell that ``float`` and ``np.loadtxt`` read alike, which :func:`_plain_rows` reads
-#: with ``float`` where :func:`_parse_cells` does not: an exponent form, or a plain
-#: decimal with too many digits.  ``\\d`` is an ASCII digit in a bytes pattern.
-_FLOAT_CELL = rb"-?(?:(?:\d+\.?\d*|\.\d+)[eE][-+]?\d+|\d+\.\d*|\.\d+)"
+#: A cell of one ``.`` that ``float`` and ``np.loadtxt`` read alike, which
+#: :func:`_plain_rows` reads with ``float`` where :func:`_parse_cells` does not: with an
+#: exponent, or with too many digits.  ``\\d`` is an ASCII digit in a bytes pattern.
+_FLOAT_CELL = rb"-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
 
 def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
@@ -796,18 +796,18 @@ def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
     The segment must be rows of ``width`` cells, separated by ``,``, each row ended by
     ``\\n`` or ``\\r\\n`` (the last may be unended), and every cell either plain, an
     optional ``-``, ASCII digits and one ``.``, with at least one digit, or a cell of
-    :data:`_FLOAT_CELL`.  So a quote, a space, a ``+`` sign, an integer, a blank line, a
-    bare CR or a byte that is not ASCII sends the segment to ``np.loadtxt``, and with
-    it every value, error and line number.  ``np.loadtxt`` reads a cell as ``float``
+    :data:`_FLOAT_CELL`.  So a quote, a space, a ``+`` sign, a cell without one ``.``, a
+    blank line, a bare CR or a byte that is not ASCII sends the segment to ``np.loadtxt``,
+    and with it every value, error and line number.  ``np.loadtxt`` reads a cell as ``float``
     does, by ``PyOS_string_to_double``; on these rows it splits the same lines and cells.
 
-    The ``.``, ``,`` and ``\\n`` bytes are found in one pass; where every cell holds one
-    ``.``, they alternate.  :func:`_parse_cells` reads the plain cells, about
-    ``_CSV_SUB_CELLS`` at a time, so that its scratch arrays stay in cache.  The cells
-    that it leaves are read by ``float``; but more than one in 16 of a group sends the
-    segment to ``np.loadtxt`` at once, as a file of such cells reads faster there.
+    The ``.``, ``,`` and ``\\n`` bytes are found in one pass; every cell holds one ``.``
+    exactly when they alternate, a ``.`` first.  :func:`_parse_cells` reads the plain
+    cells, about ``_CSV_SUB_CELLS`` at a time, so that its scratch arrays stay in cache.
+    The cells that it leaves are read by ``float``; but more than one in 16 of a group
+    sends the segment to ``np.loadtxt`` at once, as such cells read faster there.
     """
-    if not data or width < 1 or data.endswith(b"\r"):
+    if width < 1 or data.endswith(b"\r"):
         return None
     # a line end before the first cell, and room for the words around every ``.``
     buf = b"\0" * 7 + b"\n" + data + b"\n" * (not data.endswith(b"\n")) + b"\0" * 32
@@ -817,18 +817,13 @@ def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
     hits |= text[8:] == ord("\n")
     marks = np.flatnonzero(hits) + 8
     dot = text[marks] == ord(".")
-    if len(marks) % 2 == 0 and dot[::2].all() and not dot[1::2].any():
-        dots, seps, single = marks[::2], marks[1::2], None
-    else:  # a cell without a ``.``, or with two: each is left to float
-        at = np.flatnonzero(~dot)
-        seps, dots = marks[at], marks[at - 1]
-        single = np.diff(at, prepend=-1) == 2
+    if len(marks) % 2 or not dot[::2].all() or dot[1::2].any():  # a cell without one ``.``
+        return None
+    dots, seps = marks[::2], marks[1::2]
     ends = text[seps] == ord("\n")
     if len(seps) % width or not ends[width - 1::width].all() or ends.sum() * width != len(seps):
         return None
-    starts = np.empty_like(seps)
-    starts[0] = 8
-    starts[1:] = seps[:-1] + 1
+    starts = np.concatenate(([8], seps[:-1] + 1))
     stops = seps - (ends & (text[seps - 1] == ord("\r")))
     # each word ending at a byte: a view that reads 8 bytes at every byte offset
     words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
@@ -837,8 +832,6 @@ def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
         part = slice(at, at + _CSV_SUB_CELLS)
         values[part], exact[part] = _parse_cells(text, words, dots[part], starts[part],
                                                  stops[part])
-        if single is not None:
-            exact[part] &= single[part]
         if np.count_nonzero(~exact[part]) * 16 > len(exact[part]):
             return None
     for at in np.flatnonzero(~exact).tolist():

@@ -137,8 +137,14 @@ class TestExitCodes:
           "--F", "Y, Y", "--a", "1,1"], "--F names Y more than once"),
         (["estimate", "--cov", "{cov}", "--treatment", "X", "--response", "Y",
           "--instruments", "Z1,Z3,Z3"], "--instruments names Z3 more than once"),
+        (["simulate", "--model", "{model}", "--out", ""], "simulate requires --out"),
+        (["plan-optimize", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--W", ""], "--W expects at least one variable name"),
+        (["plan-optimize", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--W", " , "], "--W expects at least one variable name"),
     ], ids=["unparsable-gain", "missing-treatment", "no-instrument", "repeated-covariate",
-            "repeated-control", "repeated-instrument"])
+            "repeated-control", "repeated-instrument", "empty-out", "empty-covariates",
+            "blank-covariates"])
     def test_usage_error_is_named(self, model_file, cov_file, capsys, argv, message):
         code = run_command([arg.format(model=model_file, cov=cov_file) for arg in argv])
         assert (code, capsys.readouterr().err) == (1, f"usage error: {message}\n")

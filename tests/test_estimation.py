@@ -788,8 +788,8 @@ class TestPlainCells:
 
     @pytest.mark.parametrize("cell", ["-0.0", "0.0", ".5", "5.", "-.5", "-5.", "0.000123",
                                       "-0.0001", "00.25", "0.10000000000000001",
-                                      "1e-05", "-2.5e-07", "1.5E+16", "3.e2", ".5e1",
-                                      "12345678.5", "-0.00012345678901234567", "1e400"])
+                                      "-2.5e-07", "1.5E+16", "3.e2", ".5e1", "12345678.5",
+                                      "-0.00012345678901234567", "1.e400"])
     def test_signs_zeros_points_and_exponents(self, cell):
         self._assert_read_as_float([cell, "1.5", cell])
 
@@ -798,16 +798,18 @@ class TestPlainCells:
         b'"1.5",2.5\r\n', b"1.5,2.5\r\n\r\n3.5,4.5\r\n", b"1.5,2.5\r3.5,4.5\r\n",
         b"1.5,2.5\r", b"1.5,2.5,3.5\r\n", b"nan,2.5\r\n", b"1_000.5,2.5\r\n",
         "١.5,2.5\r\n".encode(), b"1.5.5,2.5\r\n", b".,2.5\r\n", b"-.,2.5\r\n",
-        b"1.5,\r\n", b"1.5,2.5\r\n3.5\r\n",
+        b"1.5,\r\n", b"1.5,2.5\r\n3.5\r\n", b"1.5,2.5\r\n" * 8 + b"1e-05,2.5\r\n",
+        b"1.5,2.5\r\n" * 8 + b"1e400,2.5\r\n", b"",
     ], ids=["integer", "integer-cell", "padded", "plus", "quoted", "blank-line", "bare-cr",
             "final-bare-cr", "ragged", "nan", "underscore", "arabic-indic-digit",
-            "two-points", "bare-point", "signed-bare-point", "empty-cell", "short-row"])
+            "two-points", "bare-point", "signed-bare-point", "empty-cell", "short-row",
+            "dot-less-exponent", "dot-less-overflow", "empty"])
     def test_other_segments_are_declined(self, text):
         assert simulate._plain_rows(text, 2 - (text == b"9007199254740993\r\n")) is None
 
     def test_more_than_one_cell_in_16_left_to_float_is_declined(self):
-        assert simulate._plain_rows(b"1.5,2.5\r\n" * 6 + b"1e5,2.5\r\n", 2) is None
-        assert simulate._plain_rows(b"1.5,2.5\r\n" * 7 + b"1e5,2.5\r\n", 2)[7, 0] == 1e5
+        assert simulate._plain_rows(b"1.5,2.5\r\n" * 6 + b"1.5e5,2.5\r\n", 2) is None
+        assert simulate._plain_rows(b"1.5,2.5\r\n" * 7 + b"1.5e5,2.5\r\n", 2)[7, 0] == 1.5e5
 
     def test_a_final_row_without_a_line_end(self):
         assert simulate._plain_rows(b"1.5,2.5\r\n-3.5,4.", 2).tolist() == [[1.5, 2.5],
@@ -923,7 +925,8 @@ class TestPlainCellsRoute:
         lambda text: text.replace(b"\r\n", b"\r\n\r\n", 1),
         lambda text: text.replace(b",", b" , ", 1),
         lambda text: text.replace(b"\r\n", b"\r\n7,8,9,10,11\r\n", 1),
-    ], ids=["blank-line", "padded-cell", "integer-cells"])
+        lambda text: re.sub(rb"\n[^,]*,", b"\n1e-05,", text, count=1),
+    ], ids=["blank-line", "padded-cell", "integer-cells", "dot-less-exponent"])
     def test_a_segment_of_other_cells_reaches_loadtxt(self, tmp_path, monkeypatch,
                                                      loadtxt_calls, edit):
         data = sc.draw_equilibrium(sc.iverson_model(), sc.SimulationConfig(4000, seed=27))

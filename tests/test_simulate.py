@@ -475,15 +475,21 @@ class TestReportMoments:
 
     def test_an_overflowing_mean_is_reported_in_the_callers_error_state(self, tmp_path, capsys):
         """The thread keeps the command's ``np.errstate``: under warnings as errors, numpy's
-        own state would raise the overflow's warning there instead."""
+        own state would raise the overflow's warning there instead.  The report is checked
+        after the files are replaced, so the new CSV and sidecar stay (see the README)."""
         model = tmp_path / "model.json"
         sc.save_model(sc.StructuralModel.from_edges(
             [("X", "Y", 0.5)], intercepts={"X": 1e306, "Y": 1e306}), model)
+        out, sidecar = tmp_path / "draws.csv", tmp_path / "draws.csv.meta.json"
+        out.write_bytes(b"old\r\n")
+        sidecar.write_bytes(b"old\n")
         code = run_command(["simulate", "--model", str(model), "--n", "2000",
-                            "--out", str(tmp_path / "draws.csv")])
+                            "--out", str(out)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
         assert captured.err == "error: result 'empirical_mean.X' is not finite\n"
+        assert sc.Dataset.from_csv(out).rows.shape == (2000, 2)
+        assert json.loads(sidecar.read_text())["n"] == 2000
 
     def test_an_error_of_the_thread_is_raised_in_the_caller(self, tmp_path):
         model = sc.StructuralModel.from_edges([("X", "Y", 0.5)],
