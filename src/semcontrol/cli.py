@@ -40,7 +40,7 @@ from .model import (
     spectral_radius,
     validate_model,
 )
-from .simulate import Dataset, SimulationConfig, controlled_model, draw_and_save
+from .simulate import LAWS, Dataset, SimulationConfig, controlled_model, draw_and_save
 
 
 class UsageError(Exception):
@@ -378,8 +378,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_simulate(args):
-    if not args.out:  # also an empty --out, which names no file
-        raise UsageError("simulate requires --out")
+    _require(args, "--out")
     planned = bool(args.plan or args.treatment)
     ignored = _given(args, *_PLAN_FLAGS, "--response", "--F", "--W", "--cov", "--data")
     if not planned and ignored:
@@ -545,7 +544,7 @@ def _build_parser() -> _Parser:
     add_moment_flags(p)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--law", choices=("gaussian", "uniform"), default="gaussian")
+    p.add_argument("--law", choices=LAWS, default="gaussian")
 
     add("reproduce-iverson", _cmd_reproduce_iverson)
     return parser
@@ -566,6 +565,9 @@ def _non_finite(results: dict, prefix: str = "") -> str | None:
 def run_command(argv) -> int:
     try:
         args = _build_parser().parse_args(list(argv))
+        for flag in _given(args, "--model", "--plan", "--cov", "--data", "--out"):
+            if not getattr(args, flag[2:]):  # an empty path names no file: refused unread
+                raise UsageError(f"{flag} expects a file name")
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite result instead
             report, code = args.handler(args)
         bad = _non_finite(report.results)

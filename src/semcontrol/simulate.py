@@ -42,7 +42,7 @@ from .model import StructuralModel, VertexPartition, _write_whole, spectral_radi
 
 RNG_ALGORITHM = "philox4x64-counter"
 
-_LAWS = ("gaussian", "uniform")
+LAWS = ("gaussian", "uniform")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class SimulationConfig:
             raise ValueError("n_draws must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.law not in _LAWS:
-            raise ValueError(f"unknown disturbance law {self.law!r}; choose from {_LAWS}")
+        if self.law not in LAWS:
+            raise ValueError(f"unknown disturbance law {self.law!r}; choose from {LAWS}")
 
 
 def _uniform_rows(seed: int, n_cols: int, start: int, stop: int) -> np.ndarray:
@@ -406,10 +406,10 @@ class Dataset:
             raise InputFormatError(_csv_fault(path, len(header), data)) from None
 
 
-#: Cells per block that :func:`_write_csv_rows` hands to :func:`_csv_lines`.
+#: Cells per block that :func:`_write_csv_rows` draws or takes, and writes into one slot.
 _CSV_BLOCK_CELLS = 2**18
 
-#: Cells, in whole rows, that :func:`_csv_lines` formats at a time, and cells that
+#: Cells, in whole rows, that :func:`_format_cells` formats at a time, and cells that
 #: :func:`_plain_rows` parses at a time; bounds their scratch arrays.
 _CSV_SUB_CELLS = 2**13
 
@@ -422,15 +422,16 @@ _POW10 = np.array([float(f"1e{j}") for j in range(-5, 23)])
 
 def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     """A CSV file's text into the text handle ``fh``: the header row, then ``n`` rows a
-    block of about ``_CSV_BLOCK_CELLS`` cells at a time, each the :func:`_csv_lines` of
-    ``block(start, stop)``, the rows [start, stop).  Several blocks are handled by forked
-    workers (:func:`_fork_map`) and written in order.
+    block of about ``_CSV_BLOCK_CELLS`` cells at a time, the rows [start, stop) of
+    ``block(start, stop)``.  Several blocks are handled by forked workers
+    (:func:`_fork_map`) and written in order.
 
-    Each block's text goes into a slot of one buffer, mapped before the workers fork and
-    shared with them, and only its length comes back, so no text is pickled.  There are
-    ``_window(workers) + 1`` slots, used in turn, so that a slot is filled again only
-    after the text it held is written.  A buffer that cannot be mapped is refused by
-    :func:`_mapped`; the buffer is closed on every path.
+    Each block's text is formatted by :func:`_format_cells` a part of ``_CSV_SUB_CELLS``
+    cells at a time, each part straight into the block's slot of one buffer, mapped before
+    the workers fork and shared with them; only its length comes back, so no text is
+    pickled.  There are ``_window(workers) + 1`` slots, used in turn, so that a slot is
+    filled again only after the text it held is written.  A buffer that cannot be mapped
+    is refused by :func:`_mapped`; the buffer is closed on every path.
     """
     csv.writer(fh).writerow(columns)
     fh.flush()  # the rows are bytes, written below the text layer
@@ -441,13 +442,18 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     # each cell's repr takes at most 24 bytes and is followed by "," or "\r\n"
     size = min(step, n) * (25 * len(columns) + 1)
     ring = min(len(starts), _window(_workers(len(starts))) + 1)
+    sub = max(1, _CSV_SUB_CELLS // len(columns))
+    masks = _slot_masks()  # built here, so that the forked workers inherit it
 
     def put(index: int) -> int:
         start = starts[index]
-        lines = _csv_lines(block(start, min(start + step, n)))
-        at = (index % ring) * size
-        text[at:at + len(lines)] = lines
-        return len(lines)
+        rows = block(start, min(start + step, n))
+        at = end = (index % ring) * size
+        for row in range(0, len(rows), sub):
+            part = _format_cells(rows[row:row + sub].ravel(), len(columns), masks)
+            text[end:end + len(part)] = part
+            end += len(part)
+        return end - at
 
     with _mapped(ring * size, "CSV text") as text, memoryview(text) as view:
         for index, length in enumerate(_fork_map(put, range(len(starts)))):
@@ -467,22 +473,6 @@ def _mapped(size: int, what: str):
         return mmap.mmap(-1, size)
     except (OSError, OverflowError):  # no room, or a size past what mmap can take
         raise MemoryError(f"Unable to map {size} bytes for the {what}") from None
-
-
-def _csv_lines(block: np.ndarray) -> bytes:
-    """The rows of ``block`` as CSV bytes: each value as its ``repr``, ``,`` between
-    cells and ``\\r\\n`` after each row.
-
-    Values in ``1e-4 <= |x| < 1e16``, which ``repr`` writes without an exponent, take
-    their digits from :func:`_shortest`; the others, and the ties that it declines, are
-    formatted by ``%r``.  :func:`_format_cells` assembles the text of whole rows, about
-    ``_CSV_SUB_CELLS`` cells at a time, with one ``%`` call for the ``repr`` cells among them.
-    """
-    rows, width = block.shape
-    step = max(1, _CSV_SUB_CELLS // width)
-    masks = _slot_masks()
-    return b"".join(_format_cells(block[start:start + step].ravel(), width, masks)
-                    for start in range(0, rows, step))
 
 
 #: The slot of one cell in :func:`_format_cells`; 0xff marks a digit.
@@ -515,12 +505,15 @@ def _slot_masks() -> np.ndarray:
 
 
 def _format_cells(x: np.ndarray, width: int, masks: np.ndarray) -> bytes:
-    """:func:`_csv_lines` of the cells ``x``, whole rows of ``width`` cells.
+    """The cells ``x``, whole rows of ``width`` cells, as CSV bytes: each value as its
+    ``repr``, ``,`` between cells and ``\\r\\n`` after each row.
 
-    Each cell gets a copy of its row of ``masks``, :data:`_SLOT` with only the
-    characters of its text left, into whose digit bytes the 17 digits of
-    :func:`_shortest` are and-ed; a ``repr`` goes over the start of the slot.  Deleting
-    the zero bytes and the padding of the ``repr`` strings leaves the text.
+    Each cell gets a copy of its row of ``masks``: :data:`_SLOT` with only the characters
+    of its text left.  A value in ``1e-4 <= |x| < 1e16``, which ``repr`` writes without an
+    exponent, has the 17 digits of :func:`_shortest` and-ed into the slot's digit bytes;
+    the others, and the ties that it declines, are formatted by one ``%r`` call, whose
+    text goes over the start of their slots.  Deleting the zero bytes and the padding of
+    the ``repr`` strings leaves the text.
     """
     n, a = len(x), np.abs(x)
     # digits 0, k 0 and p 1 spell 0.0; p 0 leaves the cell to repr

@@ -137,14 +137,25 @@ class TestExitCodes:
           "--F", "Y, Y", "--a", "1,1"], "--F names Y more than once"),
         (["estimate", "--cov", "{cov}", "--treatment", "X", "--response", "Y",
           "--instruments", "Z1,Z3,Z3"], "--instruments names Z3 more than once"),
-        (["simulate", "--model", "{model}", "--out", ""], "simulate requires --out"),
+        (["simulate", "--model", "{model}", "--out", ""], "--out expects a file name"),
         (["plan-optimize", "--model", "{model}", "--treatment", "X", "--response", "Y",
           "--W", ""], "--W expects at least one variable name"),
         (["plan-optimize", "--model", "{model}", "--treatment", "X", "--response", "Y",
           "--W", " , "], "--W expects at least one variable name"),
+        # an empty path names no file, and is refused before any file is read
+        (["plan-eval", "--model", "/nonexistent/model.json", "--treatment", "X",
+          "--response", "Y", "--plan", ""], "--plan expects a file name"),
+        (["plan-eval", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--data", ""], "--data expects a file name"),
+        (["plan-eval", "--model", "{model}", "--treatment", "X", "--response", "Y",
+          "--cov", ""], "--cov expects a file name"),
+        (["stability", "--model", "{model}", "--out", ""], "--out expects a file name"),
+        (["validate", "--model", ""], "--model expects a file name"),
+        (["estimate", "--cov", ""], "--cov expects a file name"),
     ], ids=["unparsable-gain", "missing-treatment", "no-instrument", "repeated-covariate",
             "repeated-control", "repeated-instrument", "empty-out", "empty-covariates",
-            "blank-covariates"])
+            "blank-covariates", "empty-plan", "empty-data", "empty-cov", "empty-report-out",
+            "empty-model", "empty-estimate-cov"])
     def test_usage_error_is_named(self, model_file, cov_file, capsys, argv, message):
         code = run_command([arg.format(model=model_file, cov=cov_file) for arg in argv])
         assert (code, capsys.readouterr().err) == (1, f"usage error: {message}\n")

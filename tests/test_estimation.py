@@ -215,9 +215,11 @@ class TestCsvFormat:
         values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
         _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(width)), values))
 
-    def test_cells_are_formatted_as_their_repr(self):
+    def test_cells_are_formatted_as_their_repr(self, tmp_path, monkeypatch):
         """About 10^6 cells of every kind against ``repr``: exact digits for
         ``1e-4 <= |x| < 1e16``, ``repr`` for the rest and for declined ties."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        path = tmp_path / "cells.csv"
         rng = np.random.default_rng(15)
         n = 2**17
         near = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
@@ -244,7 +246,8 @@ class TestCsvFormat:
             block = np.resize(values, (-(-len(values) // 7), 7))
             expected = (("%r,%r,%r,%r,%r,%r,%r\r\n" * len(block))
                         % tuple(block.ravel().tolist())).encode()
-            got = simulate._csv_lines(block)
+            sc.Dataset(tuple("ABCDEFG"), block).to_csv(path)
+            got = path.read_bytes().split(b"\r\n", 1)[1]
             if got != expected:
                 rows = [(a, b) for a, b in zip(got.split(b"\r\n"), expected.split(b"\r\n"))
                         if a != b]
@@ -255,15 +258,18 @@ class TestCsvFormat:
         assert simulate._slot_masks() is masks
         assert not masks.flags.writeable
 
-    def test_a_block_is_formatted_in_memory_bounded_by_its_text(self):
+    def test_a_block_is_formatted_in_memory_bounded_by_its_text(self, tmp_path):
+        """Each part of a block goes straight into its slot, so no copy of the block's
+        text is held in memory; the slot itself is mapped, and not traced."""
         block = np.random.default_rng(16).standard_normal((simulate._CSV_BLOCK_CELLS // 8, 8))
+        dataset, path = sc.Dataset(tuple("ABCDEFGH"), block), tmp_path / "block.csv"
         tracemalloc.start()
         try:
-            text = simulate._csv_lines(block)
+            dataset.to_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * len(text)
+        assert peak < path.stat().st_size / 2
 
     def test_header_is_written_as_csv(self, tmp_path):
         columns = ("plain", "with,comma", 'with "quote"', "with\r\nbreak", " padded ")
@@ -477,8 +483,12 @@ class TestParallelCsv:
         monkeypatch.setattr(simulate, "_CSV_BLOCK_CELLS", 40)
         values = np.random.default_rng(3).standard_normal((301, 7))
         values.flat[:len(_EDGE_VALUES)] = _EDGE_VALUES
-        _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
-        assert pools[0] == 2  # 61 blocks on two workers, then the read
+        # 14 cells: each 5-row block is written into its slot in 3 parts, the last partial
+        for sub_cells in (simulate._CSV_SUB_CELLS, 14):
+            monkeypatch.setattr(simulate, "_CSV_SUB_CELLS", sub_cells)
+            pools.clear()
+            _assert_round_trip(tmp_path, sc.Dataset(tuple(f"v{j}" for j in range(7)), values))
+            assert pools[0] == 2  # 61 blocks on two workers, then the read
 
     @pytest.mark.parametrize("edit, started", [
         (lambda text: text, True),
@@ -635,8 +645,9 @@ class TestParallelCsv:
         assert pools == []
 
     @pytest.mark.parametrize("command, patch, failure", [
-        ("simulate", "_csv_lines = lambda block: os._exit(3)", "BrokenProcessPool: "),
-        ("simulate", "_csv_lines = lambda block: 1 / 0",
+        ("simulate", "_format_cells = lambda x, width, masks: os._exit(3)",
+         "BrokenProcessPool: "),
+        ("simulate", "_format_cells = lambda x, width, masks: 1 / 0",
          "ZeroDivisionError: division by zero"),
         ("simulate", "_disturbances = lambda *args: os._exit(3)", "BrokenProcessPool: "),
         ("simulate", "_disturbances = lambda *args: 1 / 0", "ZeroDivisionError: division by zero"),

@@ -425,7 +425,8 @@ class TestTextBuffer:
 
     def test_a_failed_worker_leaves_the_text_buffer_closed(self, tmp_path, capsys, pools,
                                                            monkeypatch, iverson_model, texts):
-        monkeypatch.setattr(simulate, "_csv_lines", lambda block: 1 / 0)  # in each worker
+        # raised in each worker
+        monkeypatch.setattr(simulate, "_format_cells", lambda x, width, masks: 1 / 0)
         assert self._simulate(tmp_path, capsys, monkeypatch, iverson_model) == (
             2, "error: a CSV worker process failed: ZeroDivisionError: division by zero\n")
         assert pools == [2]
