@@ -18,6 +18,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -578,11 +579,16 @@ def _edge_columns(entries: list) -> tuple[list, list, list | np.ndarray]:
 def model_from_dict(payload: dict) -> StructuralModel:
     """Parse the JSON model schema; unknown keys are rejected."""
     _check_object(payload, "model", _MODEL_KEYS, ("variables", "edges"))
-    variables = payload["variables"]
-
     if not isinstance(payload["edges"], list):
         raise InputFormatError("'edges' must be a list of edge objects")
-    sources, targets, coeffs = _edge_columns(payload["edges"])
+    return _model(payload, _edge_columns(payload["edges"]))
+
+
+def _model(payload: dict, columns) -> StructuralModel:
+    """The model of a checked ``payload`` whose edge list has the ``from``, ``to`` and
+    ``coeff`` columns ``columns``, the ends as names or as vertex indices."""
+    variables = payload["variables"]
+    sources, targets, coeffs = columns
 
     def named_map(key: str) -> dict[str, float]:
         raw = payload.get(key, {})
@@ -618,13 +624,180 @@ def model_to_dict(model: StructuralModel) -> dict:
     }
 
 
-def _read_json(path):
-    """The JSON value of a model, plan, covariance or fixture file, decoded as UTF-8."""
-    data = (Path(path) if isinstance(path, str) else path).read_bytes()  # or a Traversable
+def _read_json(path, data: bytes | None = None):
+    """The JSON value of a model, plan, covariance or fixture file, decoded as UTF-8, from
+    its bytes ``data`` if given; an object with a repeated key is refused."""
+    if data is None:
+        data = (Path(path) if isinstance(path, str) else path).read_bytes()  # or a Traversable
     try:
-        return json.loads(data.decode("utf-8-sig"))  # whatever the locale; a BOM is dropped
+        return _json_value(data)
     except (ValueError, RecursionError) as exc:  # a bad byte or token, or too deep a nesting
         raise InputFormatError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _json_value(data: bytes):
+    # whatever the locale; a BOM is dropped
+    return json.loads(data.decode("utf-8-sig"), object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``, refused with the first key that repeats, of which
+    ``json.loads`` would keep only the last value."""
+    if len(obj := dict(pairs)) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
+#: A model file's ``"edges": [``; its first edge, with the names, the number, and the bytes
+#: from there to the next edge's first ``"`` or past the ``]``; and the last edge's end.
+#: ``W`` is JSON's whitespace, as ``\s`` of a bytes pattern also takes \f and \v.
+_EDGES_OPEN, _FIRST_EDGE, _LAST_EDGE_END = (re.compile(p.replace(b"W", rb"[ \t\n\r]*")) for p in (
+    rb'"edges"W:W\[', rb'W\{W"from"W:W"([^"]*)"W,W"to"W:W"([^"]*)"W,W"coeff"W:W([-+.0-9eE]+)'
+    rb'(W\}W(?:,W\{W|\]))', rb'([-+.0-9eE]+)W\}W\]'))
+
+#: A JSON number that ``json.loads`` reads with ``float``: with a fraction or an exponent.
+_JSON_FLOAT = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)")
+
+
+def _read_edge_list(data: bytes) -> tuple[dict, tuple] | None:
+    """The JSON value of a model file's bytes and the ``(sources, targets, coeffs)``
+    columns of its edge list, as ``json.loads`` and :func:`model_from_dict` give them; or
+    None, for them to read the file.
+
+    With no ``\\`` in the file, its ``"`` bytes delimit its strings.  The top-level
+    ``"edges"`` objects must all have the first one's layout, byte for byte outside the
+    names and numbers, ``"from"`` and ``"to"`` a name and ``"coeff"`` a number: the layout
+    ``json.dumps`` writes with any indent or separators.  A name must be a variable's
+    bytes, and a number is read by :func:`~semcontrol.simulate._parse_cells`, or by
+    ``float`` if it is one of :data:`_JSON_FLOAT` that its kernel leaves.  The rest of the
+    file, a string ``"\\u0000"`` in place of the list, goes to ``json.loads``, and must give
+    that string as its ``"edges"``: no string of a file with no ``\\`` holds a NUL, so the
+    list was the value of the top-level ``"edges"``.
+    """
+    opened = _EDGES_OPEN.search(data)
+    first = opened and _FIRST_EDGE.match(data, opened.end())
+    if b"\\" in data or not first:
+        return None
+    buf = data + bytes(len(first[0]) + 32)  # room for the words read past an edge
+    text = np.frombuffer(buf, np.uint8)
+    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+    # each edge's 10 quotes: those of "from", its name, "to", its name and "coeff"
+    quotes = np.flatnonzero(text == ord('"'))
+    quotes = quotes[np.searchsorted(quotes, opened.end()):]
+    quotes = quotes[:len(quotes) // 10 * 10].reshape(-1, 10)
+    # the bytes from an edge's first, fourth and eighth quote to its first name, its second
+    # name and its number; and from the number to the next edge's first quote
+    spans = (data[quotes[0, 0]:first.start(1)], data[first.end(1):first.start(2)],
+             data[first.end(2):first.start(3)], first[4])
+    anchors = [quotes[:, k].copy() for k in (0, 3, 7)]
+    same = np.logical_and.reduce([_same_bytes(words, *pair) for pair in zip(anchors, spans)])
+    numbers, ends = anchors[2] + len(spans[2]), anchors[0][1:] - len(spans[3])
+    more = same[:-1] & (ends > numbers[:-1]) & _same_bytes(words, ends, spans[3])
+    last = int(np.argmin(np.append(more & (not spans[3].endswith(b"]")), False)))
+    tail = same[last] and _LAST_EDGE_END.match(data, numbers[last])
+    if not tail:
+        return None
+    try:
+        payload = _json_value(data[:opened.end() - 1] + b'"\\u0000"' + data[tail.end():])
+    except (ValueError, RecursionError):
+        return None
+    variables = payload.get("variables") if isinstance(payload, dict) else None
+    if (not isinstance(variables, list) or payload.get("edges") != "\0"
+            or not all(isinstance(v, str) for v in variables)):
+        return None
+    names = quotes[:last + 1, [2, 3, 6, 7]].T
+    ends_of = _name_indices(words, names[::2].ravel() + 1, names[1::2].ravel(), variables)
+    coeffs = _json_floats(data, text, words, numbers[:last + 1],
+                          np.append(ends[:last], tail.end(1)))
+    if ends_of is None or coeffs is None:
+        return None
+    return payload, (*ends_of.reshape(2, -1), coeffs)
+
+
+def _same_bytes(words: np.ndarray, starts: np.ndarray, span: bytes) -> np.ndarray:
+    """Whether the bytes at each of ``starts`` are ``span``; ``words[i]`` is the
+    little-endian word of the 8 bytes at ``i``."""
+    same = np.ones(len(starts), bool)
+    for at in range(0, len(span), 8):  # the last word's lanes past the span masked off
+        part = span[at:at + 8]
+        same &= (words[starts + at] & _LOW_BYTES[len(part)]) == np.uint64(
+            int.from_bytes(part, "little"))
+    return same
+
+
+def _name_indices(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
+                  variables: list) -> np.ndarray | None:
+    """The index in ``variables`` of each name in the bytes ``starts:stops``, or None if one
+    is not a variable's UTF-8.  A linear probe from the top bits of a hash of the name's
+    words finds the variable with its bytes and length, or an empty slot of the table."""
+    names = [v.encode() for v in variables]
+    width, lengths = -(-max(map(len, names), default=0) // 8), stops - starts
+    if not names or lengths.max(initial=0) > 8 * width:
+        return None
+    at = np.minimum(starts[:, None] + 8 * np.arange(width), len(words) - 1)  # lanes 0 past it
+    keys = words[at] & _LOW_BYTES[np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8)]
+    known = np.frombuffer(b"".join(n.ljust(8 * width, b"\0") for n in names), "<u8")
+    known = known.reshape(len(names), width)
+    length = np.fromiter(map(len, names), np.int64, len(names))
+    shift = np.uint64(64 - (4 * len(names)).bit_length())  # 4 to 8 slots a variable
+    table = np.full(2**(64 - int(shift)), -1)
+    for i, slot in enumerate((_fold(known) >> shift).tolist()):
+        while table[slot] >= 0:
+            slot = (slot + 1) % len(table)
+        table[slot] = i
+    slots = (_fold(keys) >> shift).astype(np.intp)
+    found = table[slots]
+
+    def strays(rows):  # whether the variable found for each name is not the name's
+        i = found[rows]
+        return (known[i] != keys[rows]).any(axis=1) | (length[i] != lengths[rows])
+
+    wrong = np.flatnonzero(strays(slice(None)))
+    while len(wrong):
+        if found[wrong].min() < 0:  # an empty slot: no variable has the name's bytes
+            return None
+        slots[wrong] = (slots[wrong] + 1) % len(table)
+        found[wrong] = table[slots[wrong]]
+        wrong = wrong[strays(wrong)]
+    return found
+
+
+_LOW_BYTES = np.array([2**(8 * k) - 1 for k in range(9)], np.uint64)
+
+
+def _fold(keys: np.ndarray) -> np.ndarray:
+    """A hash of each row of words, by multiplying by the odd ``2^64 / golden ratio``."""
+    folded = np.zeros(len(keys), np.uint64)
+    for column in keys.T:
+        folded = (folded ^ column) * np.uint64(0x9E3779B97F4A7C15)
+    return folded
+
+
+def _json_floats(data: bytes, text: np.ndarray, words: np.ndarray, starts: np.ndarray,
+                 stops: np.ndarray) -> np.ndarray | None:
+    """``float`` of each number ``data[starts:stops]``, or None if one is not a number of
+    :data:`_JSON_FLOAT`.  :func:`_parse_cells` reads a plain cell, ``-?``, digits, ``.``
+    and digits, its integer part ``0`` or without a leading zero; ``float`` the others."""
+    from .simulate import _CSV_SUB_CELLS, _parse_cells
+
+    digits = starts + (text[starts] == ord("-"))
+    # a plain cell's ``.`` is among the 8 bytes after its first digit
+    points = text[digits[:, None] + np.arange(1, 9)] == ord(".")
+    before = np.where(points.any(axis=1), points.argmax(axis=1), 8)  # 8 for none
+    dots = digits + 1 + before
+    plain = (before < 8) & (stops - dots > 1) & ((before == 0) | (text[digits] != ord("0")))
+    values, exact = np.empty(len(starts)), np.empty(len(starts), bool)
+    for at in range(0, len(starts), _CSV_SUB_CELLS):  # so that the scratch stays in cache
+        part = slice(at, at + _CSV_SUB_CELLS)
+        values[part], exact[part] = _parse_cells(text, words, dots[part], starts[part],
+                                                 stops[part])
+    for k in np.flatnonzero(~(exact & plain)).tolist():
+        if not _JSON_FLOAT.fullmatch(cell := data[starts[k]:stops[k]]):
+            return None
+        values[k] = float(cell)
+    return values
 
 
 @contextmanager
@@ -673,7 +846,13 @@ def _check_object(payload, kind: str, keys: set[str], required: tuple[str, ...] 
 
 
 def load_model(path: str | Path) -> StructuralModel:
-    return model_from_dict(_read_json(path))
+    data = Path(path).read_bytes()
+    read = _read_edge_list(data)
+    if read is None:
+        return model_from_dict(_read_json(path, data))
+    payload, columns = read
+    _check_object(payload, "model", _MODEL_KEYS)
+    return _model(payload, columns)
 
 
 def save_model(model: StructuralModel, path: str | Path) -> None:

@@ -10,10 +10,12 @@ import semcontrol as sc
 
 
 def _has_cycle(adjacency: np.ndarray) -> bool:
-    reach = adjacency.astype(int)
-    closure = reach.copy()
-    for _ in range(adjacency.shape[0]):
-        closure = ((closure @ reach) > 0).astype(int) | closure
+    """Whether some vertex reaches itself: the paths of up to ``2^k`` edges after ``k``
+    squarings of the reachability matrix, until it stops growing."""
+    reach, closure = None, adjacency.astype(bool)
+    while not np.array_equal(reach, closure):
+        reach = closure
+        closure = reach | (reach.astype(np.float32) @ reach.astype(np.float32) > 0.0)
     return bool(np.diag(closure).any())
 
 

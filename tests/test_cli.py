@@ -1039,6 +1039,17 @@ class TestMalformedInput:
                      " continuation byte", id="model-latin-1-byte"),
         pytest.param("plan", b"\xff", "invalid JSON in {path}: 'utf-8' codec can't decode byte"
                      " 0xff in position 0: invalid start byte", id="plan-not-utf-8"),
+        # json.loads would keep the last value of a repeated key, and drop the others
+        pytest.param("model", b'{"variables": ["A", "B"], "edges": [{"from": "A", "to": "B",'
+                     b' "coeff": 0.5}], "edges": []}', "invalid JSON in {path}: duplicate key"
+                     " 'edges'", id="model-repeated-key"),
+        pytest.param("model", b'{"variables": ["A", "B"], "edges": [{"from": "A", "to": "B",'
+                     b' "coeff": 0.5, "coeff": 0.7}]}', "invalid JSON in {path}: duplicate key"
+                     " 'coeff'", id="edge-repeated-key"),
+        pytest.param("cov", b'{"variables": ["X"], "matrix": [[1.0]], "matrix": [[2.0]]}',
+                     "invalid JSON in {path}: duplicate key 'matrix'", id="cov-repeated-key"),
+        pytest.param("plan", b'{"x": 1.0, "a": {"Y": 1.0, "Y": 2.0}}',
+                     "invalid JSON in {path}: duplicate key 'Y'", id="plan-repeated-key"),
     ])
     def test_file_envelope_fault_is_named(self, model_file, tmp_path, capsys, kind, payload,
                                           message):

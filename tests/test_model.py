@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import json
 import re
 import sys
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import semcontrol as sc
+import semcontrol.model as model_module
 from semcontrol.cli import run_command
 from semcontrol.model import (
     CONDITION_LIMIT,
@@ -895,6 +897,188 @@ class TestModelLoader:
                 "intercepts": {"Y": "a"},
             })
         assert str(info.value) == "'intercepts' value for 'Y' must be a number, got 'a'"
+
+
+def _load_outcome(path):
+    """What ``load_model`` gives: the model, bit for bit, with its digest, or its error."""
+    try:
+        m = sc.load_model(path)
+    except sc.InputFormatError as exc:
+        return str(exc)
+    return (m.variables, m.diagram.sources.tobytes(), m.diagram.targets.tobytes(),
+            m.coefficients.tobytes(), m.intercepts.tobytes(),
+            m.disturbance_variances.tobytes(), sc.model_hash(m))
+
+
+def _kernel_outcome(path) -> tuple[bool, object]:
+    """Whether the edge kernel read the file, and what ``load_model`` gives; which must be
+    what ``json.loads`` and ``model_from_dict`` give with the kernel declining."""
+    read, kernel = [], model_module._read_edge_list
+
+    def spy(data):
+        columns = kernel(data)
+        read.append(columns is not None)
+        return columns
+
+    with mock.patch.object(model_module, "_read_edge_list", spy):
+        outcome = _load_outcome(path)
+    with mock.patch.object(model_module, "_read_edge_list", lambda data: None):
+        assert _load_outcome(path) == outcome
+    return read == [True], outcome
+
+
+#: Names with the bytes of JSON's punctuation, spaces, text that is not ASCII, and more
+#: bytes than one word of the kernel's name keys.
+_NAMES = st.one_of(
+    st.sampled_from(["A", "B.1", "x,y", "}", "]", "a:b", " ", "", "é", "名前", "😀",
+                     "a much longer variable name", "Z" * 8, "Z" * 9]),
+    st.text(st.characters(min_codepoint=0x20, blacklist_categories=("Cs",),
+                          blacklist_characters='"\\'), max_size=20),
+)
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-05, 1e16, 0.1, -2.5, 123456789.125, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: The edits of a well-formed file's bytes that it must decline, or read as json.loads does.
+_MUTATIONS = ["bom", "backslash", "second-edges", "nested-edges", "control-byte",
+              "leading-zero", "bare-point", "integer", "unclosed"]
+
+
+@st.composite
+def model_files(draw):
+    """A model file's bytes, and whether the kernel must read it."""
+    # half the files each with distinct names, known ends and float coefficients only
+    names = draw(st.lists(_NAMES, min_size=1, max_size=6, unique=draw(st.booleans())))
+    end = draw(st.sampled_from([st.sampled_from(names), st.one_of(st.sampled_from(names),
+                                                                  _NAMES)]))
+    coeff = draw(st.sampled_from([_FLOATS, st.one_of(_FLOATS, _COEFFS)]))
+    edges = draw(st.lists(st.tuples(end, end, coeff), min_size=draw(st.integers(0, 1)),
+                          max_size=10))
+    payload = {"variables": names,
+               "edges": [{"from": s, "to": t, "coeff": c} for s, t, c in edges]}
+    for key in ("intercepts", "disturbance_variances"):
+        if draw(st.booleans()):
+            payload[key] = draw(st.dictionaries(st.sampled_from(names), _FLOATS))
+    layout = draw(st.sampled_from([{}, {"indent": 2}, {"separators": (",", ":")}]))
+    # escaped as ``\\u...``, a name that is not ASCII declines the file
+    ascii_only = draw(st.sampled_from([False, False, True]))
+    text = json.dumps(payload, ensure_ascii=ascii_only, **layout).encode()
+    mutation = draw(st.one_of(st.none(), st.sampled_from(_MUTATIONS)))
+    numbers = list(re.finditer(rb'"coeff": ?([^,}\s]+)', text))
+    if mutation == "bom":
+        text = b"\xef\xbb\xbf" + text
+    elif mutation == "backslash":
+        text = text.replace(b'"variables": [', b'"variables": ["a\\\\b", ', 1)
+    elif mutation == "second-edges":
+        text = text[:-1] + b', "edges": []}'
+    elif mutation == "nested-edges":
+        text = text.replace(b'"variables"', b'"more": {"edges": %s}, "variables"' % (
+            json.dumps(payload["edges"]).encode()), 1)
+    elif mutation == "control-byte" and text.count(b'"to": "'):
+        text = text.replace(b'"to": "', b'"to": "\x01', 1)
+    elif mutation in ("leading-zero", "bare-point", "integer") and numbers:
+        number = draw(st.sampled_from(numbers))
+        cell = {"leading-zero": b"01.5", "bare-point": b".5", "integer": b"2"}[mutation]
+        text = text[:number.start(1)] + cell + text[number.end(1):]
+    elif mutation == "unclosed":
+        text = text[:text.rfind(b"]", 0, text.find(b'"intercepts"') % (len(text) + 1))]
+    clean = (mutation in (None, "bom") and b"\\" not in text and bool(edges)
+             and len(set(names)) == len(names)
+             and all(s in names and t in names and type(c) is float and np.isfinite(c)
+                     for s, t, c in edges))
+    return text, clean
+
+
+class TestEdgeKernel:
+    """The model file's edge kernel: a file that it reads gives what ``json.loads`` and
+    ``model_from_dict`` give, and any other falls to them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=model_files())
+    def test_matches_json_loads(self, tmp_path_factory, case):
+        text, clean = case
+        path = tmp_path_factory.mktemp("model") / "m.json"
+        path.write_bytes(text)
+        read, _ = _kernel_outcome(path)
+        assert read or not clean
+
+    def test_reads_the_layouts_that_the_package_and_the_benchmark_write(self, tmp_path):
+        model, _, _ = random_cyclic_model(1, n_min=512, n_max=512)
+        saved, dumped = tmp_path / "saved.json", tmp_path / "dumped.json"
+        sc.save_model(model, saved)
+        dumped.write_text(json.dumps(model_to_dict(model)))
+        for path in (saved, dumped):
+            read, outcome = _kernel_outcome(path)
+            assert read and outcome[-1] == sc.model_hash(model)
+
+    _BASE = ('{"variables": ["A", "B", "C"], "edges": [{"from": "A", "to": "B", "coeff": 0.5}, '
+             '{"from": "B", "to": "C", "coeff": -1.25e-3}, {"from": "C", "to": "A", '
+             '"coeff": 0.0625}], "intercepts": {"B": 1.5}}')
+
+    @pytest.mark.parametrize("old, new", [
+        ('"A", "B", "C"]', '"A", "B", "C", "D\\\\"]'),
+        ('"coeff": 0.5', '"coeff": 01.5'),
+        ('"coeff": 0.5', '"coeff": .5'),
+        ('"coeff": 0.5', '"coeff": 5.'),
+        ('"coeff": 0.5', '"coeff": 5'),
+        ('"coeff": 0.5', '"coeff": -0'),
+        ('"coeff": 0.5', '"coeff": NaN'),
+        ('"coeff": 0.5', '"coeff": +0.5'),
+        ('"coeff": 0.0625', '"coeff": 0.0625e'),
+        ('"coeff": 0.0625', '"coeff": 1_0.5'),
+        ('"coeff": -1.25e-3', '"coeff": "-1.25e-3"'),
+        ('"to": "C"', '"to": "Q"'),
+        ('"to": "C"', '"to": "C\x01"'),
+        ('"to": "C"', '"to":"C"'),
+        ('"to": "C"', '"to": "C", "coeff": 1.0'),
+        ('{"from": "C", "to": "A", ', '{"to": "A", "from": "C", '),
+        ('"coeff": 0.0625}]', '"coeff": 0.0625}'),
+        ('"coeff": 0.0625}]', '"coeff": 0.0625}]]'),
+        ('"coeff": 0.0625}]', '"coeff": 0.0625},]'),
+        (', "intercepts"', ', "edges": [], "intercepts"'),
+        ('{"variables"', '{"more": {"edges": [{"from": "A", "to": "B", "coeff": 0.5}]}, '
+                         '"variables"'),
+        ('{"variables"', '[{"variables"'),
+    ], ids=["backslash", "leading-zero", "bare-point", "bare-fraction", "integer",
+            "minus-zero", "nan", "plus", "bare-exponent", "underscore", "string", "unknown-name",
+            "control-byte", "other-spacing", "repeated-key", "other-key-order", "unclosed",
+            "extra-close", "trailing-comma", "second-edges", "nested-edges", "array"])
+    def test_declines_a_file_that_it_cannot_account_for(self, tmp_path, old, new):
+        assert old in self._BASE
+        path = tmp_path / "m.json"
+        path.write_text(self._BASE.replace(old, new, 1), encoding="utf-8")
+        read, _ = _kernel_outcome(path)
+        assert not read
+
+    @pytest.mark.parametrize("text", [
+        _BASE, "﻿" + _BASE, _BASE.replace(": ", ":").replace(", ", ","),
+        json.dumps(json.loads(_BASE), indent=2), json.dumps(json.loads(_BASE), indent="\t"),
+        _BASE.replace('"B", "C"', '"B.}]:, ", "C"').replace('"B"', '"B.}]:, "'),
+        _BASE.replace('"A"', '"é名前 and a name of many words"'),
+        _BASE.replace("0.0625", "6.25E+400").replace("0.5", "-0.0"),
+    ], ids=["spaces", "bom", "compact", "indent", "tab-indent", "punctuation", "long-name",
+            "exponents"])
+    def test_reads_json_dumps_layouts(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        read, outcome = _kernel_outcome(path)
+        assert read and not isinstance(outcome, str)
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"variables": ["A", "B"], "edges": [{"from": "A", "to": "B", "coeff": 0.5}], '
+         '"edges": []}', "edges"),
+        ('{"variables": ["A", "B"], "edges": [{"from": "A", "to": "B", "coeff": 0.5, '
+         '"coeff": 0.7}]}', "coeff"),
+        ('{"variables": ["A", "B"], "edges": [], "intercepts": {"A": 1.0, "B": 2.0, '
+         '"A": 3.0}}', "A"),
+    ])
+    def test_a_repeated_key_is_refused(self, tmp_path, text, key):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        read, outcome = _kernel_outcome(path)
+        assert not read and outcome == f"invalid JSON in {path}: duplicate key {key!r}"
 
 
 class TestModelHash:
