@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import ControlPlan, PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
+from .control import PlanSpec, load_plan, optimal_b, plan_variance, resolve_plan
 from .effects import EffectSummary, RegressionBlocks, implied_moments, total_effects
 from .errors import InputFormatError, SemControlError, UnstableModel, UnstableModelWarning
 from .estimation import (
@@ -244,6 +244,16 @@ def _read_moments(args, needed):
     return moments
 
 
+def _plan_effect(analysis: _Analysis, report: Report):
+    """The plan's :func:`plan_variance`; a stability margin below 0.1 also warns in ``report``."""
+    plan = analysis.plan  # before the moments, so that a fault of the plan is named first
+    effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
+    if effect.margin < 0.1:
+        report.warnings.append(f"feedback stability margin {effect.margin:.4g} is small; "
+                               "the plan operates close to |a'g| = 1")
+    return effect
+
+
 def _residual_max(analysis: _Analysis, report: Report) -> float:
     """max |residual| of the optimal gains; above 1e-9 it also warns in ``report``."""
     worst = float(np.abs(analysis.optimal.residual).max(initial=0.0))
@@ -312,7 +322,7 @@ def _cmd_plan_eval(args):
     analysis = _Analysis(args)
     report = Report("plan-eval", inputs=_plan_inputs(analysis))
     plan, part = analysis.plan, analysis.gated
-    effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
+    effect = _plan_effect(analysis, report)
     report.results = {
         "set_point": plan.set_point,
         "feedback": dict(zip(part.controls, plan.feedback)),
@@ -326,11 +336,6 @@ def _cmd_plan_eval(args):
         "feedback_factor": effect.feedback_factor,
         "stability_margin": effect.margin,
     }
-    if effect.margin < 0.1:
-        report.warnings.append(
-            f"feedback stability margin {effect.margin:.4g} is small; "
-            "the plan operates close to |a'g| = 1"
-        )
     if analysis.spec.covariate_gains == "optimal":
         report.results["optimal_gain_residual_max"] = _residual_max(analysis, report)
     return report, 0
@@ -341,8 +346,7 @@ def _cmd_plan_optimize(args):
     _names(args.W, "--W", required=True)
     analysis = _Analysis(args)
     report = Report("plan-optimize", inputs=_plan_inputs(analysis))
-    plan = analysis.plan
-    effect = plan_variance(analysis.moments, analysis.effects, analysis.blocks, plan)
+    effect = _plan_effect(analysis, report)
     report.results = {
         "b_star": dict(zip(analysis.gated.covariates, analysis.optimal.covariate_gains)),
         "residual_max": _residual_max(analysis, report),
@@ -425,7 +429,8 @@ def _cmd_reproduce_iverson(args):
     effects = EffectSummary(part, [gamma])
     blocks = RegressionBlocks.from_moments(moments, part)
     # the means are zero, so at set point 1 the response mean is the mean coefficient
-    plans = {a: plan_variance(moments, effects, blocks, ControlPlan(1.0, [a], []))
+    plans = {a: plan_variance(moments, effects, blocks,
+                              resolve_plan(PlanSpec(1.0, {"Y": a}, {}, 0.0), part))
              for a in (0.0, -5.0, -10.0, -20.0)}
     base = plans.pop(0.0)
     base_var = base.response_variance

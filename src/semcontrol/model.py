@@ -536,27 +536,9 @@ def _number(value, field: str) -> float:
         raise InputFormatError(f"{field} must be a number, got {value!r}") from None
 
 
-def _edge_columns(entries: list) -> tuple[list, list, list | np.ndarray]:
-    """The ``from``, ``to`` and ``coeff`` columns of the edge list.
-
-    Well-formed entries (exactly the three keys, string ends, int or float
-    coefficients) are read in bulk; anything else goes through the checked
-    per-edge loop, which names the first fault.
-    """
-    if set(map(type, entries)) <= {dict} and set(map(len, entries)) <= {3}:
-        try:
-            sources = [e["from"] for e in entries]
-            targets = [e["to"] for e in entries]
-            coeffs = [e["coeff"] for e in entries]
-        except KeyError:
-            pass
-        else:
-            if (set(map(type, sources)) | set(map(type, targets)) <= {str}
-                    and set(map(type, coeffs)) <= {float, int}):
-                try:
-                    return sources, targets, np.array(coeffs, dtype=float)
-                except OverflowError:
-                    pass
+def _edge_columns(entries: list) -> tuple[list, list, list]:
+    """The ``from``, ``to`` and ``coeff`` columns of the edge list, read one checked edge
+    at a time, or an InputFormatError naming the first fault."""
     sources, targets, coeffs = [], [], []
     for entry in entries:
         if not isinstance(entry, dict):
@@ -674,7 +656,8 @@ def _read_edge_list(data: bytes) -> tuple[dict, tuple] | None:
     ``float`` if it is one of :data:`_JSON_FLOAT` that its kernel leaves.  The rest of the
     file, a string ``"\\u0000"`` in place of the list, goes to ``json.loads``, and must give
     that string as its ``"edges"``: no string of a file with no ``\\`` holds a NUL, so the
-    list was the value of the top-level ``"edges"``.
+    list was the value of the top-level ``"edges"``.  The keys are checked last, when the
+    file is known to be what ``json.loads`` reads, with :func:`model_from_dict`'s errors.
     """
     opened = _EDGES_OPEN.search(data)
     first = opened and _FIRST_EDGE.match(data, opened.end())
@@ -713,6 +696,7 @@ def _read_edge_list(data: bytes) -> tuple[dict, tuple] | None:
                           np.append(ends[:last], tail.end(1)))
     if ends_of is None or coeffs is None:
         return None
+    _check_object(payload, "model", _MODEL_KEYS, ("variables", "edges"))
     return payload, (*ends_of.reshape(2, -1), coeffs)
 
 
@@ -848,11 +832,7 @@ def _check_object(payload, kind: str, keys: set[str], required: tuple[str, ...] 
 def load_model(path: str | Path) -> StructuralModel:
     data = Path(path).read_bytes()
     read = _read_edge_list(data)
-    if read is None:
-        return model_from_dict(_read_json(path, data))
-    payload, columns = read
-    _check_object(payload, "model", _MODEL_KEYS)
-    return _model(payload, columns)
+    return _model(*read) if read else model_from_dict(_read_json(path, data))
 
 
 def save_model(model: StructuralModel, path: str | Path) -> None:

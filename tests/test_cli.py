@@ -349,6 +349,21 @@ class TestPlanCommands:
         assert capsys.readouterr().err == f"usage error: --plan cannot be combined with {named}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("plan-eval", ["--b", "optimal"]), ("plan-optimize", []),
+    ], ids=["plan-eval", "plan-optimize"])
+    def test_a_plan_fault_is_named_before_a_moment_file_fault(
+        self, model_file, tmp_path, capsys, command, flags
+    ):
+        cov = write_json(tmp_path / "cov.json", {"variables": ["X", "Y"],
+                                                  "matrix": [[1.0, 0.0], [0.0, 1.0]]})
+        base = [command, "--model", model_file, "--treatment", "X", "--response", "Y",
+                "--W", "Z1", *flags, "--cov", cov]
+        assert run_command([*base, "--a", "1,2"]) == 1
+        assert capsys.readouterr().err == "usage error: --a supplies 2 gains for 1 controls\n"
+        assert run_command(base) == 2
+        assert capsys.readouterr().err == f"error: {cov} lacks variables the command reads: Z1\n"
+
     def test_optimize_reports_gain_mean_and_variance(self, model_file, cov_file, capsys):
         code, payload = run_json(capsys, [
             "plan-optimize", "--model", model_file, "--cov", cov_file,
@@ -377,25 +392,49 @@ class TestPlanCommands:
             assert abs(via_flag["results"][key] - via_value["results"][key]) < 1e-12
 
 
-    def test_plan_commands_share_one_residual_warning(self, tmp_path, capsys):
-        # two controls with one covariate: g b' = g B_xw - B_fw has no exact solution
+    @staticmethod
+    def two_controls(tmp_path):
+        """Partition flags on a model with two controls and one covariate, on which
+        g b' = g B_xw - B_fw has no exact solution; g is (1.0, 0.8)."""
         edges = [("Z", "X", 0.5), ("X", "Y", 1.0), ("X", "V", 0.5), ("Y", "V", 0.3),
                  ("Z", "Y", 0.4), ("Z", "V", 0.7)]
         path = write_json(tmp_path / "two_controls.json", {
             "variables": ["Y", "V", "X", "Z"],
             "edges": [{"from": s, "to": t, "coeff": c} for s, t, c in edges],
         })
-        base = ["--model", path, "--treatment", "X", "--response", "Y", "--F", "Y,V", "--W", "Z"]
+        return ["--model", path, "--treatment", "X", "--response", "Y", "--F", "Y,V", "--W", "Z"]
+
+    _RESIDUAL_WARNING = ("optimal covariate gains do not solve the zero-covariance equation "
+                         "exactly (max residual 0.3049); they are its least-squares solution")
+
+    def test_plan_commands_share_one_residual_warning(self, tmp_path, capsys):
+        base = self.two_controls(tmp_path)
         code, evaluated = run_json(capsys, ["plan-eval", *base, "--b", "optimal"])
         assert code == 0
         code, optimized = run_json(capsys, ["plan-optimize", *base])
         assert code == 0
         worst = evaluated["results"]["optimal_gain_residual_max"]
         assert worst == optimized["results"]["residual_max"] == pytest.approx(0.3049, abs=5e-5)
+        assert evaluated["warnings"] == optimized["warnings"] == [self._RESIDUAL_WARNING]
+
+    @pytest.mark.parametrize("model, flags, margin", [
+        ("iverson", ["--W=Z1,Z2", "--a=-19.5"], "0.04098"),
+        ("two-controls", ["--a=-0.95,0"], "0.05"),
+    ])
+    def test_plan_commands_share_one_margin_warning(
+        self, model_file, tmp_path, capsys, model, flags, margin
+    ):
+        base = [*(self.two_controls(tmp_path) if model == "two-controls" else [
+            "--model", model_file, "--treatment", "X", "--response", "Y"]), *flags]
+        code, evaluated = run_json(capsys, ["plan-eval", *base, "--b", "optimal"])
+        assert code == 0
+        code, optimized = run_json(capsys, ["plan-optimize", *base])
+        assert code == 0
+        assert evaluated["results"]["stability_margin"] == pytest.approx(float(margin), 1e-3)
+        residual = [self._RESIDUAL_WARNING] if model == "two-controls" else []
         assert evaluated["warnings"] == optimized["warnings"] == [
-            "optimal covariate gains do not solve the zero-covariance equation exactly "
-            "(max residual 0.3049); they are its least-squares solution"
-        ]
+            f"feedback stability margin {margin} is small; the plan operates close to "
+            "|a'g| = 1", *residual]
 
     def test_each_command_keeps_its_own_plan_gate(self, tmp_path, capsys):
         # a stable model (feedback block radius 0.9) on which a = 2 passes |a'g| < 1

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -991,6 +992,12 @@ def model_files(draw):
     return text, clean
 
 
+@functools.cache
+def _large_model():
+    """A random 512-variable model, of the size of the benchmark's large models."""
+    return random_cyclic_model(1, n_min=512, n_max=512)[0]
+
+
 class TestEdgeKernel:
     """The model file's edge kernel: a file that it reads gives what ``json.loads`` and
     ``model_from_dict`` give, and any other falls to them."""
@@ -1005,13 +1012,42 @@ class TestEdgeKernel:
         assert read or not clean
 
     def test_reads_the_layouts_that_the_package_and_the_benchmark_write(self, tmp_path):
-        model, _, _ = random_cyclic_model(1, n_min=512, n_max=512)
+        model = _large_model()
         saved, dumped = tmp_path / "saved.json", tmp_path / "dumped.json"
         sc.save_model(model, saved)
         dumped.write_text(json.dumps(model_to_dict(model)))
         for path in (saved, dumped):
             read, outcome = _kernel_outcome(path)
             assert read and outcome[-1] == sc.model_hash(model)
+
+    @pytest.mark.parametrize("declined", ["integers", "escaped-name"])
+    def test_a_declined_large_file_reads_as_its_twin(self, tmp_path, declined):
+        """A 512-variable file that the kernel declines gives, through the per-edge loop,
+        the model of a twin file that the kernel reads."""
+        path, twin = tmp_path / "declined.json", tmp_path / "twin.json"
+        model = _large_model()
+        if declined == "integers":
+            payload = model_to_dict(model)
+            scaled = [round(edge["coeff"] * 1000) for edge in payload["edges"]]
+            for number, file in ((int, path), (float, twin)):
+                for edge, k in zip(payload["edges"], scaled):
+                    edge["coeff"] = number(k)
+                file.write_text(json.dumps(payload))
+        else:
+            names = ("V\u00e9", *model.variables[1:])
+            model = sc.StructuralModel(
+                sc.PathDiagram._of(names, model.diagram.sources, model.diagram.targets),
+                model.coefficients, model.intercepts, model.disturbance_variances)
+            sc.save_model(model, path)
+            assert b'"V\\u00e9"' in path.read_bytes()
+            twin.write_text(json.dumps(model_to_dict(model), indent=2, ensure_ascii=False),
+                            encoding="utf-8")
+        read, outcome = _kernel_outcome(path)
+        twin_read, twin_outcome = _kernel_outcome(twin)
+        assert twin_read and not read
+        assert outcome == twin_outcome
+        if declined == "escaped-name":
+            assert outcome[-1] == sc.model_hash(model)
 
     _BASE = ('{"variables": ["A", "B", "C"], "edges": [{"from": "A", "to": "B", "coeff": 0.5}, '
              '{"from": "B", "to": "C", "coeff": -1.25e-3}, {"from": "C", "to": "A", '
@@ -1065,6 +1101,36 @@ class TestEdgeKernel:
         path.write_text(text, encoding="utf-8")
         read, outcome = _kernel_outcome(path)
         assert read and not isinstance(outcome, str)
+
+    @pytest.mark.parametrize("integer", [2**53 + 1, 10**20 + 1, 2**64 + 1, -(2**63) - 1])
+    def test_integer_coefficients_read_as_float_reads_them(self, tmp_path, integer):
+        coeffs = [integer, -integer, integer + 2]
+        text = self._BASE
+        for old, new in zip(["0.5", "-1.25e-3", "0.0625"], coeffs):
+            text = text.replace(f'"coeff": {old}', f'"coeff": {new}', 1)
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        read, _ = _kernel_outcome(path)
+        assert not read
+        # the edges A -> B, B -> C and C -> A
+        assert sc.load_model(path).coefficients[[1, 2, 0], [0, 1, 2]].tolist() == [
+            float(c) for c in coeffs]
+
+    @pytest.mark.parametrize("name, error", [
+        ("B\x01B", "invalid JSON in {path}: Invalid control character at: "),
+        ("B", "unknown model keys: ['extra']"),
+    ], ids=["control-byte", "clean"])
+    def test_keys_are_checked_after_the_names_and_numbers(self, tmp_path, name, error):
+        """An unknown key is named once every name and number is read: a control byte in a
+        name is first the fault of the JSON, as json.loads names it."""
+        path = tmp_path / "m.json"
+        path.write_text(self._BASE.replace('"to": "B"', f'"to": "{name}"', 1)[:-1]
+                        + ', "extra": 1}')
+        _, outcome = _kernel_outcome(path)
+        assert outcome.startswith(error.format(path=path))
+        if name == "B":  # the kernel reads the file, and refuses the key itself
+            with pytest.raises(sc.InputFormatError, match="unknown model keys"):
+                model_module._read_edge_list(path.read_bytes())
 
     @pytest.mark.parametrize("text, key", [
         ('{"variables": ["A", "B"], "edges": [{"from": "A", "to": "B", "coeff": 0.5}], '
