@@ -10,6 +10,7 @@ dataset CSV and the report stays on stdout).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -609,6 +610,9 @@ def _print(text: str, stream=None) -> None:
 
 
 def main() -> None:
+    # the objects that the imports made outlive the command: neither a collection during
+    # it nor the exit scans or frees them; those that the command makes are collected
+    gc.freeze()
     sys.exit(run_command(sys.argv[1:]))
 
 

@@ -180,6 +180,31 @@ class TestExitCodes:
         assert "|a'g_fx| < 1" in captured.err
 
 
+class TestFrozenCollector:
+    """``main`` freezes the collector once the imports are done, so that neither a
+    collection during the command nor the exit scans what they made; a library caller's
+    collector is left as it was."""
+
+    def test_main_freezes_before_the_command_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "run_command", lambda argv: calls.append(argv) or 3)
+        monkeypatch.setattr(sys, "argv", ["semcontrol", "validate"])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert (calls, exited.value.code) == (["freeze", ["validate"]], 3)
+
+    def test_a_library_caller_keeps_its_collector(self, model_file):
+        result = subprocess.run([sys.executable, "-c", (
+            "import gc, sys; sys.path.insert(0, sys.argv[1])\n"
+            "import semcontrol, semcontrol.cli\n"
+            "code = semcontrol.cli.run_command(['validate', '--model', sys.argv[2]])\n"
+            "print(code, gc.get_freeze_count())\n"), str(Path(sc.__file__).parent.parent),
+            model_file], capture_output=True, text=True, timeout=120)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines()[-1] == "0 0"
+
+
 class TestStability:
     def test_block_radii_reported(self, model_file, capsys):
         code, payload = run_json(capsys, [
