@@ -836,8 +836,11 @@ def load_model(path: str | Path) -> StructuralModel:
 
 
 def save_model(model: StructuralModel, path: str | Path) -> None:
+    """The model as UTF-8 JSON with each name as it is, which the edge kernel reads; a name
+    with a lone surrogate, which UTF-8 cannot encode, makes every name ``\\u``-escaped."""
+    escape = any("\ud800" <= char <= "\udfff" for char in "".join(model.variables))
     with _write_whole(path) as fh:
-        fh.write(json.dumps(model_to_dict(model), indent=2) + "\n")
+        fh.write(json.dumps(model_to_dict(model), indent=2, ensure_ascii=escape) + "\n")
 
 
 def model_hash(model: StructuralModel) -> str:

@@ -380,8 +380,9 @@ class Dataset:
         Cells may be quoted and padded, blank lines are skipped, and nothing
         is a comment.  A malformed file raises :class:`InputFormatError`
         naming its first bad line.  A file of several segments is parsed a
-        segment at a time, by forked workers where they help (:func:`_read_segments`),
-        and a segment of plain cells by an exact kernel (:func:`_plain_rows`).
+        segment at a time, by forked workers where they help, which hand the rows
+        back through a shared ring (:func:`_read_segments`); a segment of plain
+        cells is parsed by an exact kernel a window at a time (:func:`_plain_rows`).
         A file that is not a regular file, such as a pipe, is read into memory
         once and parsed in one pass.
         """
@@ -415,6 +416,10 @@ _CSV_SUB_CELLS = 2**13
 
 #: Bytes of a CSV file that one worker of :meth:`Dataset.from_csv` parses per task.
 _CSV_SEGMENT_BYTES = 2**23
+
+#: Bytes of a segment that :func:`_plain_rows` reads and parses at a time, each window
+#: carried on to the end of its last line; bounds the kernel's scratch arrays.
+_CSV_WINDOW_BYTES = 2**20
 
 #: ``_POW10[j + 5]`` is the double nearest ``10**j``, exact for ``0 <= j <= 22``.
 _POW10 = np.array([float(f"1e{j}") for j in range(-5, 23)])
@@ -467,7 +472,7 @@ def _mapped(size: int, what: str):
     """An anonymous ``mmap`` of ``size`` bytes, which forked workers share with this
     process; one that cannot be mapped, such as for an impossible row count, is refused
     as a :class:`MemoryError` naming its size and ``what`` it holds."""
-    import mmap  # here, so that only a draw or a CSV writer loads it
+    import mmap  # here, so that only a draw, a CSV writer or a segment reader loads it
 
     try:
         return mmap.mmap(-1, size)
@@ -697,6 +702,12 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     ``np.loadtxt`` accepts one left open at the end of its input (``1,"2\\n`` reads as
     ``[[1, 2]]``).  So where a segment's width is not the header's, the single pass
     reads the same records and fails too, and its fault is named without a second parse.
+
+    A worker writes a segment's rows into its slot of one ring, mapped before the workers
+    fork (:func:`_mapped`), and returns only their shape; this process appends the slot to
+    one buffer of rows.  As in :func:`_write_csv_rows`, ``_window(workers) + 1`` slots are
+    used in turn, each of 8 bytes for every 2 of the longest segment, the least that a cell
+    and its separator take; only the pages that rows fill are touched.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -713,37 +724,57 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     header = next(csv.reader([head.decode("utf-8-sig", "surrogateescape")]))
     if not _utf8(header):  # refused by from_csv before any segment is parsed
         return header, None
-    rows = io.BytesIO()  # each part is written and let go, not held to the end
-    segments = zip(cuts, cuts[1:], repeat(len(header)))
-    for part in _fork_map(functools.partial(_parse_segment, path), segments):
-        if part is None:
-            return None
-        if len(part):  # a blank segment has no width
-            if part.shape[1] != len(header):
-                return header, None
-            rows.write(part)
+    segments = list(zip(cuts, cuts[1:], repeat(len(header))))
+    size = (max(stop - start for start, stop, _ in segments) // 2 + 1) * 8
+    ring = min(len(segments), _window(_workers(len(segments))) + 1)
+
+    def put(index: int) -> tuple[int, int] | None:
+        slots.seek(index % ring * size)
+        return _parse_segment(path, segments[index], slots)
+
+    rows = io.BytesIO()  # each slot is appended and let go, not held to the end
+    with _mapped(ring * size, "CSV rows") as slots, memoryview(slots) as view:
+        for index, shape in enumerate(_fork_map(put, range(len(segments)))):
+            if shape is None:
+                return None
+            if shape[0]:  # a blank segment has no width
+                if shape[1] != len(header):
+                    return header, None
+                at = index % ring * size
+                # released here, or a raising write's traceback would keep slots from closing
+                with view[at:at + shape[0] * shape[1] * 8] as part:
+                    rows.write(part)
     # getvalue hands over the buffer itself, trimmed to its size; ``or 1`` for an empty
     # header, which only blank lines can follow here, as reshape cannot divide by 0
     return header, np.frombuffer(rows.getvalue()).reshape(-1, len(header) or 1)
 
 
-def _parse_segment(path, segment: tuple[int, int, int]) -> np.ndarray | None:
-    """``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file whose header has
-    ``width`` cells, or None unless they are UTF-8 with an even number of quotes and
-    parse.  Rows of long plain cells are read by :func:`_plain_rows`, with the same bits."""
+def _parse_segment(path, segment: tuple[int, int, int], out) -> tuple[int, int] | None:
+    """The shape of ``np.loadtxt``'s rows of the bytes [start, stop) of a CSV file whose
+    header has ``width`` cells, their values written to the binary file ``out`` from its
+    position; or None unless they are UTF-8 with an even number of quotes and parse.  Rows
+    of long plain cells are read by :func:`_plain_rows`, with the same bits; a segment that
+    it declines in any window is read whole by ``np.loadtxt``."""
     start, stop, width = segment
+    at = out.tell()
     with open(path, "rb") as fh:
+        fh.seek(start)
+        if _long_cells(fh.read(min(stop - start, 4096))):
+            fh.seek(start)
+            count = _plain_rows(fh, stop - start, width, out)
+            if count is not None:
+                return count, width
+            out.seek(at)
         fh.seek(start)
         data = fh.read(stop - start)
     if b'"' in data and data.count(b'"') % 2:
         return None
-    rows = _plain_rows(data, width) if _long_cells(data) else None
-    if rows is not None:
-        return rows
     try:  # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
-        return _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+        rows = _loadtxt(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
     except ValueError:
         return None
+    out.write(rows)
+    return rows.shape
 
 
 def _long_cells(data: bytes) -> bool:
@@ -782,9 +813,10 @@ _POW10_INT = np.array([10**j for j in range(19)], np.uint64)
 _FLOAT_CELL = rb"-?(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
 
-def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
-    """``np.loadtxt``'s rows of a CSV segment of plain cells, bit for bit; None, for
-    ``np.loadtxt`` to read, where any cell or row is not plain.
+def _plain_rows(fh, size: int, width: int, out) -> int | None:
+    """The row count of ``np.loadtxt``'s rows of a CSV segment of plain cells, the next
+    ``size`` bytes of the binary file ``fh``, whose values it writes to ``out``, bit for
+    bit; None, for ``np.loadtxt`` to read, where any cell or row is not plain.
 
     The segment must be rows of ``width`` cells, separated by ``,``, each row ended by
     ``\\n`` or ``\\r\\n`` (the last may be unended), and every cell either plain, an
@@ -794,45 +826,64 @@ def _plain_rows(data: bytes, width: int) -> np.ndarray | None:
     and with it every value, error and line number.  ``np.loadtxt`` reads a cell as ``float``
     does, by ``PyOS_string_to_double``; on these rows it splits the same lines and cells.
 
-    The ``.``, ``,`` and ``\\n`` bytes are found in one pass; every cell holds one ``.``
-    exactly when they alternate, a ``.`` first.  :func:`_parse_cells` reads the plain
-    cells, about ``_CSV_SUB_CELLS`` at a time, so that its scratch arrays stay in cache.
-    The cells that it leaves are read by ``float``; but more than one in 16 of a group
-    sends the segment to ``np.loadtxt`` at once, as such cells read faster there.
+    The segment is read a window of ``_CSV_WINDOW_BYTES`` at a time, carried on to the end
+    of its last line, so that no copy of the whole segment is made and the scratch arrays
+    stay about a window's size.  In each, the ``.``, ``,`` and ``\\n`` bytes are found in
+    one pass; every cell holds one ``.`` exactly when they alternate, a ``.`` first.
+    :func:`_parse_cells` reads the plain cells, about ``_CSV_SUB_CELLS`` at a time, so that
+    its scratch arrays stay in cache.  The cells that it leaves are read by ``float``; but
+    more than one in 16 of a group sends the segment to ``np.loadtxt`` at once, as such
+    cells read faster there.  The groups are counted from the segment's start, so that
+    neither the route nor any value depends on the window size.
     """
-    if width < 1 or data.endswith(b"\r"):
-        return None
-    # a line end before the first cell, and room for the words around every ``.``
-    buf = b"\0" * 7 + b"\n" + data + b"\n" * (not data.endswith(b"\n")) + b"\0" * 32
-    text = np.frombuffer(buf, np.uint8)
-    hits = text[8:] == ord(".")
-    hits |= text[8:] == ord(",")
-    hits |= text[8:] == ord("\n")
-    marks = np.flatnonzero(hits) + 8
-    dot = text[marks] == ord(".")
-    if len(marks) % 2 or not dot[::2].all() or dot[1::2].any():  # a cell without one ``.``
-        return None
-    dots, seps = marks[::2], marks[1::2]
-    ends = text[seps] == ord("\n")
-    if len(seps) % width or not ends[width - 1::width].all() or ends.sum() * width != len(seps):
-        return None
-    starts = np.concatenate(([8], seps[:-1] + 1))
-    stops = seps - (ends & (text[seps - 1] == ord("\r")))
-    # each word ending at a byte: a view that reads 8 bytes at every byte offset
-    words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
-    values, exact = np.empty(len(seps)), np.empty(len(seps), bool)
-    for at in range(0, len(seps), _CSV_SUB_CELLS):
-        part = slice(at, at + _CSV_SUB_CELLS)
-        values[part], exact[part] = _parse_cells(text, words, dots[part], starts[part],
-                                                 stops[part])
-        if np.count_nonzero(~exact[part]) * 16 > len(exact[part]):
+    cells = left = 0  # the cells before this window, and those left to float in their group
+    while width:  # an empty header has no plain rows
+        data = fh.read(min(size, _CSV_WINDOW_BYTES))
+        line = fh.readline(size - len(data))  # the rest of the window's last line
+        size -= len(data) + len(line)
+        last = line or data
+        if not last or last.endswith(b"\r"):
             return None
-    for at in np.flatnonzero(~exact).tolist():
-        cell = buf[starts[at]:stops[at]]
-        if not re.fullmatch(_FLOAT_CELL, cell):
+        # a line end before the first cell, and room for the words around every ``.``
+        buf = b"".join((b"\0" * 7 + b"\n", data, line, b"\n" * (not last.endswith(b"\n")),
+                        b"\0" * 32))
+        text = np.frombuffer(buf, np.uint8)
+        hits = text[8:] == ord(".")
+        hits |= text[8:] == ord(",")
+        hits |= text[8:] == ord("\n")
+        marks = np.flatnonzero(hits) + 8
+        dot = text[marks] == ord(".")
+        if len(marks) % 2 or not dot[::2].all() or dot[1::2].any():  # a cell without one ``.``
             return None
-        values[at] = float(cell)
-    return values.reshape(-1, width)
+        dots, seps = marks[::2], marks[1::2]
+        ends = text[seps] == ord("\n")
+        if (len(seps) % width or not ends[width - 1::width].all()
+                or ends.sum() * width != len(seps)):
+            return None
+        starts = np.concatenate(([8], seps[:-1] + 1))
+        stops = seps - (ends & (text[seps - 1] == ord("\r")))
+        # each word ending at a byte: a view that reads 8 bytes at every byte offset
+        words = np.ndarray((len(buf) - 7,), "<u8", buf, strides=(1,))
+        values, exact = np.empty(len(seps)), np.empty(len(seps), bool)
+        # each group from its first cell, which may lie in an earlier window
+        for at in range(-(cells % _CSV_SUB_CELLS), len(seps), _CSV_SUB_CELLS):
+            part = slice(max(at, 0), at + _CSV_SUB_CELLS)
+            values[part], exact[part] = _parse_cells(text, words, dots[part], starts[part],
+                                                     stops[part])
+            left += np.count_nonzero(~exact[part])
+            if at + _CSV_SUB_CELLS <= len(seps) or not size:  # the group ends here
+                if left * 16 > min(_CSV_SUB_CELLS, len(seps) - at):
+                    return None
+                left = 0
+        for at in np.flatnonzero(~exact).tolist():
+            cell = buf[starts[at]:stops[at]]
+            if not re.fullmatch(_FLOAT_CELL, cell):
+                return None
+            values[at] = float(cell)
+        out.write(values)
+        cells += len(seps)
+        if not size:
+            return cells // width
 
 
 def _parse_cells(text: np.ndarray, words: np.ndarray, dots: np.ndarray, starts: np.ndarray,

@@ -2,10 +2,12 @@
 
 import csv
 import io
+import mmap
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import zipfile
 from fractions import Fraction
@@ -290,7 +292,16 @@ def segment_bytes(request, monkeypatch):
         monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", size)
 
 
-@pytest.mark.usefixtures("segment_bytes")
+@pytest.fixture
+def window_bytes(request, monkeypatch):
+    """Parses each segment of long plain cells in windows of the test class's
+    ``WINDOW_BYTES``, where it sets one."""
+    size = getattr(request.cls, "WINDOW_BYTES", None)
+    if size:
+        monkeypatch.setattr(simulate, "_CSV_WINDOW_BYTES", size)
+
+
+@pytest.mark.usefixtures("segment_bytes", "window_bytes")
 class TestMalformedCsv:
     """Each malformed file gives the outcome the row-at-a-time reader gave.
 
@@ -443,10 +454,10 @@ def route(tmp_path, monkeypatch):
     log, whole = tmp_path / "spans.log", []
     parse, read_whole = simulate._parse_segment, simulate._read_whole
 
-    def parse_spy(path, span):
+    def parse_spy(path, span, out):
         with open(log, "a") as fh:  # a forked worker's list would stay in the worker
             fh.write(f"{span[0]} {span[1]}\n")
-        return parse(path, span)
+        return parse(path, span, out)
 
     def whole_spy(path, data):
         whole.append(path)
@@ -474,7 +485,7 @@ def _with_row(row: str, header: str = _HEADER) -> bytes:
     return (header + "".join(_BODY[:20]) + row + "".join(_BODY[20:])).encode()
 
 
-@pytest.mark.usefixtures("segment_bytes")
+@pytest.mark.usefixtures("segment_bytes", "window_bytes")
 class TestParallelCsv:
     """A file of several blocks or segments is formatted or parsed by forked workers,
     with the bytes and bits of the single pass."""
@@ -651,7 +662,7 @@ class TestParallelCsv:
          "ZeroDivisionError: division by zero"),
         ("simulate", "_disturbances = lambda *args: os._exit(3)", "BrokenProcessPool: "),
         ("simulate", "_disturbances = lambda *args: 1 / 0", "ZeroDivisionError: division by zero"),
-        ("estimate", "_parse_segment = lambda path, span: os._exit(3)", "BrokenProcessPool: "),
+        ("estimate", "_parse_segment = lambda path, span, out: os._exit(3)", "BrokenProcessPool: "),
     ], ids=["writer-dies", "writer-raises", "draw-dies", "draw-raises", "reader-dies"])
     def test_failed_worker_exits_two_and_writes_nothing(self, tmp_path, command, patch,
                                                        failure):
@@ -697,6 +708,20 @@ class TestParallelCsvInSegments(TestParallelCsv):
     SEGMENT_BYTES = 64
 
 
+class TestMalformedCsvInWindows(TestMalformedCsvInSegments):
+    """The same outcomes where every file of more than one short line is read in segments,
+    and every segment of long plain cells is parsed in windows of a line or two."""
+
+    WINDOW_BYTES = 64
+
+
+class TestParallelCsvInWindows(TestParallelCsv):
+    """The same outcomes where every segment of long plain cells is parsed in windows of a
+    line or two."""
+
+    WINDOW_BYTES = 64
+
+
 def _loadtxt_outcome(text: bytes):
     """``np.loadtxt``'s rows of a segment, read as the segment reader reads it, or its error."""
     try:
@@ -705,6 +730,13 @@ def _loadtxt_outcome(text: bytes):
     except ValueError as exc:
         return type(exc).__name__
     return rows.shape, rows.tobytes()
+
+
+def _kernel_rows(text: bytes, width: int):
+    """The exact kernel's rows of the segment ``text``, or None where it declines it."""
+    out = io.BytesIO()
+    count = simulate._plain_rows(io.BytesIO(text), len(text), width, out)
+    return None if count is None else np.frombuffer(out.getvalue()).reshape(count, width)
 
 
 def _column(cells) -> bytes:
@@ -748,7 +780,7 @@ class TestPlainCells:
             return values, computed
 
         with mock.patch.object(simulate, "_parse_cells", spy):
-            rows = simulate._plain_rows(text, 1)
+            rows = _kernel_rows(text, 1)
         assert rows is not None
         expected = [float(cell).hex() for cell in cells]
         assert [value.hex() for value in rows.ravel()[::17].tolist()] == expected
@@ -816,15 +848,14 @@ class TestPlainCells:
             "two-points", "bare-point", "signed-bare-point", "empty-cell", "short-row",
             "dot-less-exponent", "dot-less-overflow", "empty"])
     def test_other_segments_are_declined(self, text):
-        assert simulate._plain_rows(text, 2 - (text == b"9007199254740993\r\n")) is None
+        assert _kernel_rows(text, 2 - (text == b"9007199254740993\r\n")) is None
 
     def test_more_than_one_cell_in_16_left_to_float_is_declined(self):
-        assert simulate._plain_rows(b"1.5,2.5\r\n" * 6 + b"1.5e5,2.5\r\n", 2) is None
-        assert simulate._plain_rows(b"1.5,2.5\r\n" * 7 + b"1.5e5,2.5\r\n", 2)[7, 0] == 1.5e5
+        assert _kernel_rows(b"1.5,2.5\r\n" * 6 + b"1.5e5,2.5\r\n", 2) is None
+        assert _kernel_rows(b"1.5,2.5\r\n" * 7 + b"1.5e5,2.5\r\n", 2)[7, 0] == 1.5e5
 
     def test_a_final_row_without_a_line_end(self):
-        assert simulate._plain_rows(b"1.5,2.5\r\n-3.5,4.", 2).tolist() == [[1.5, 2.5],
-                                                                          [-3.5, 4.0]]
+        assert _kernel_rows(b"1.5,2.5\r\n-3.5,4.", 2).tolist() == [[1.5, 2.5], [-3.5, 4.0]]
 
 
 #: Plain cells that the kernel reads: a sign, digits and one point.
@@ -869,28 +900,57 @@ def _segments(draw):
     return width, text.encode()
 
 
+def _assert_kernel_reads_as_loadtxt(segment, window: int):
+    width, text = segment
+    with mock.patch.object(simulate, "_CSV_WINDOW_BYTES", window):
+        rows = _kernel_rows(text, width)
+    if rows is not None:
+        assert _loadtxt_outcome(text) == (rows.shape, rows.tobytes())
+
+
+def _assert_segments_read_as_the_single_pass(directory, segment, size: int, window: int):
+    width, text = segment
+    path = directory / "obs.csv"
+    path.write_bytes(",".join("ABCD"[:width]).encode() + b"\r\n" + text)
+    # every segment goes to the kernel, whatever the length of its cells
+    with mock.patch.object(simulate, "_CSV_SEGMENT_BYTES", size), \
+            mock.patch.object(simulate, "_CSV_WINDOW_BYTES", window), \
+            mock.patch.object(simulate, "_long_cells", lambda data: True), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+        in_segments = _outcome(path)
+        with mock.patch.object(simulate, "_read_segments", lambda path: None):
+            assert in_segments == _outcome(path)
+
+
 class TestPlainCellsFuzz:
     @settings(max_examples=300, deadline=None)
     @given(segment=_segments())
     def test_an_accepted_segment_has_the_bits_of_loadtxt(self, segment):
-        width, text = segment
-        rows = simulate._plain_rows(text, width)
-        if rows is not None:
-            assert _loadtxt_outcome(text) == (rows.shape, rows.tobytes())
+        _assert_kernel_reads_as_loadtxt(segment, simulate._CSV_WINDOW_BYTES)
 
     @settings(max_examples=100, deadline=None)
     @given(segment=_segments())
     def test_files_in_small_segments_read_as_the_single_pass(self, tmp_path_factory, segment):
-        width, text = segment
-        path = tmp_path_factory.mktemp("csv") / "obs.csv"
-        path.write_bytes(",".join("ABCD"[:width]).encode() + b"\r\n" + text)
-        # every segment goes to the kernel, whatever the length of its cells
-        with mock.patch.object(simulate, "_CSV_SEGMENT_BYTES", 64), \
-                mock.patch.object(simulate, "_long_cells", lambda data: True), \
-                mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
-            in_segments = _outcome(path)
-            with mock.patch.object(simulate, "_read_segments", lambda path: None):
-                assert in_segments == _outcome(path)
+        _assert_segments_read_as_the_single_pass(tmp_path_factory.mktemp("csv"), segment, 64,
+                                                 simulate._CSV_WINDOW_BYTES)
+
+
+class TestPlainCellsFuzzInWindows:
+    """The same outcomes where each segment is parsed in 64-byte windows, each carried on
+    to the end of its last line: a line or two.  (A class of its own, not a subclass, as
+    Hypothesis refuses to run one test from two classes.)"""
+
+    @settings(max_examples=300, deadline=None)
+    @given(segment=_segments())
+    def test_an_accepted_segment_has_the_bits_of_loadtxt(self, segment):
+        _assert_kernel_reads_as_loadtxt(segment, 64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(segment=_segments())
+    def test_files_in_small_segments_read_as_the_single_pass(self, tmp_path_factory, segment):
+        # segments of several windows
+        _assert_segments_read_as_the_single_pass(tmp_path_factory.mktemp("csv"), segment, 256,
+                                                 64)
 
 
 def _chain(width: int) -> sc.StructuralModel:
@@ -915,6 +975,7 @@ def loadtxt_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("window_bytes")
 class TestPlainCellsRoute:
     @pytest.mark.parametrize("law", ["gaussian", "uniform"])
     @pytest.mark.parametrize("width", [5, 40])
@@ -949,6 +1010,166 @@ class TestPlainCellsRoute:
         outcome = _outcome(path)
         assert loadtxt_calls and outcome[0] == data.columns
         assert outcome == _single_pass_outcome(path, monkeypatch)
+
+
+class TestPlainCellsRouteInWindows(TestPlainCellsRoute):
+    """The same routes where each segment is parsed in windows of a line or two: the
+    groups of cells that may be left to ``float`` are counted from the segment's start."""
+
+    WINDOW_BYTES = 64
+
+
+def _long_rows(count: int, width: int = 4, end: str = "\r\n") -> str:
+    """``count`` rows of ``width`` plain cells of 17 or 18 bytes."""
+    rng = np.random.default_rng(count * width)
+    return "".join(",".join(f"{value:.15f}" for value in row) + end
+                   for row in rng.standard_normal((count, width)))
+
+
+def _cut_at(text: str, cut: int) -> str:
+    """``text`` with its first cell shortened so that its first line end is at ``cut``."""
+    head, rest = text.split(",", 1)
+    return head[:cut - text.index("\r\n")] + "," + rest
+
+
+class TestWindows:
+    """A segment of long plain cells is parsed in windows of ``_CSV_WINDOW_BYTES``, each
+    carried on to the end of its last line, with the outcome of one parse of the segment;
+    a window that the kernel declines sends the whole segment to ``np.loadtxt``."""
+
+    @pytest.mark.parametrize("text, kernel", [
+        (_long_rows(5), True),
+        ("1." + "0" * 150 + ",2.5,3.5,4.5\r\n" + _long_rows(4), True),
+        (_cut_at(_long_rows(4), 62), True),
+        (_cut_at(_long_rows(4), 63), True),
+        (_cut_at(_long_rows(4), 64), True),
+        (_long_rows(5).rstrip("\r\n"), True),
+        (_long_rows(5, end="\n").rstrip("\n"), True),
+        (_long_rows(5) + '"1.5",2.5,"3.5",4.5\r\n', False),
+        (_long_rows(5) + '1.5,2.5,"3.5,4.5\r\n', False),
+        (_long_rows(5) + "1.5,2.5,3.5\r\n", False),
+        (_long_rows(5).replace("\r\n", "\r", 1), False),
+    ], ids=["lines-longer-than-the-window", "line-of-three-windows", "crlf-before-the-cut",
+            "crlf-at-the-cut", "crlf-after-the-cut", "unterminated-last-line",
+            "unterminated-lf-line", "late-quote", "late-odd-quote", "late-ragged-row",
+            "bare-cr"])
+    def test_a_segment_in_64_byte_windows(self, tmp_path, monkeypatch, text, kernel):
+        monkeypatch.setattr(simulate, "_CSV_WINDOW_BYTES", 64)
+        counts, plain_rows = [], simulate._plain_rows
+        monkeypatch.setattr(simulate, "_plain_rows",
+                            lambda *args: counts.append(plain_rows(*args)) or counts[-1])
+        path, data = tmp_path / "obs.csv", ("A,B,C,D\r\n" + text).encode()
+        path.write_bytes(data)
+        out = io.BytesIO(b"\xff" * 8)  # the rows go where the file is, not to its start
+        out.seek(8)
+        shape = simulate._parse_segment(path, (9, len(data), 4), out)
+        assert len(counts) == 1 and (counts[0] is not None) == kernel
+        expected = _loadtxt_outcome(text.encode())
+        if text.count('"') % 2 or expected == "ValueError":
+            assert shape is None
+        else:
+            assert (shape, out.getvalue()[8:]) == expected
+
+    def test_a_segment_is_parsed_in_memory_bounded_by_its_rows(self, tmp_path):
+        """A window's scratch arrays, not the segment's, set the peak; the rows go to a
+        slot of the mapped ring, which is not traced."""
+        rows = np.random.default_rng(30).standard_normal((simulate._CSV_SEGMENT_BYTES // 97, 5))
+        path = tmp_path / "draws.csv"
+        sc.Dataset(tuple("ABCDE"), rows).to_csv(path)
+        start, stop = len("A,B,C,D,E\r\n"), path.stat().st_size
+        with simulate._mapped((stop - start) // 2 * 8 + 8, "CSV rows") as out:
+            tracemalloc.start()
+            try:
+                shape = simulate._parse_segment(path, (start, stop, 5), out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert shape == rows.shape and out[:rows.nbytes] == rows.tobytes()
+        assert stop - start > simulate._CSV_SEGMENT_BYTES
+        assert peak < 3 * rows.nbytes
+
+
+class TestRowsRing:
+    """The workers write each segment's rows into a slot of one shared ring and send back
+    only their shape; a slot is filled again only after the parent has read it.  The ring
+    is mapped, refused and closed by the rule of the writer's buffers
+    (``simulate._mapped``)."""
+
+    #: 40 rows of 16 bytes in 64-byte segments: 8 segments of 5 rows, 80 bytes each; so 5
+    #: slots, for 2 workers, of (80 // 2 + 1) cells of 8 bytes.
+    TEXT, SIZE = (_HEADER + "100,200,300000\r\n" * 40).encode(), 5 * 41 * 8
+
+    @pytest.fixture
+    def rings(self, monkeypatch):
+        """The rows rings that the test maps."""
+        real, rings = mmap.mmap, []
+
+        def spy(fileno, length):
+            buffer = real(fileno, length)
+            if length == self.SIZE:
+                rings.append(buffer)
+            return buffer
+
+        monkeypatch.setattr(mmap, "mmap", spy)
+        return rings
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_no_slot_is_refilled_before_the_parent_reads_it(self, tmp_path, pools, monkeypatch,
+                                                          cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 512)  # about 50 segments
+        values = np.random.default_rng(31).standard_normal((1200, 4))
+        path = tmp_path / "obs.csv"
+        sc.Dataset(tuple("ABCD"), values).to_csv(path)
+        fork_map = simulate._fork_map
+
+        def slow_map(work, items):
+            for shape in fork_map(work, items):
+                time.sleep(0.01)  # the workers run on meanwhile, and refill a slot were it free
+                yield shape
+
+        monkeypatch.setattr(simulate, "_fork_map", slow_map)
+        assert _outcome(path) == (tuple("ABCD"), values.tobytes())
+        assert pools == [cpus]
+
+    def test_a_ring_that_cannot_be_mapped_starts_no_worker(self, tmp_path, capsys, pools,
+                                                           monkeypatch):
+        """The ring is refused as memory, in one line, before any worker starts."""
+        real = mmap.mmap
+
+        def refuse(fileno, length):
+            if length == self.SIZE:
+                raise OSError(12, "Cannot allocate memory")
+            return real(fileno, length)
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
+        path = tmp_path / "obs.csv"
+        path.write_bytes(self.TEXT)
+        assert TestMalformedCsv._estimate(path, capsys) == (
+            2, f"error: Unable to map {self.SIZE} bytes for the CSV rows\n")
+        assert pools == []
+
+    def test_a_failed_worker_leaves_the_ring_closed(self, tmp_path, capsys, pools, monkeypatch,
+                                                    rings):
+        # raised in each worker
+        monkeypatch.setattr(simulate, "_parse_segment", lambda path, span, out: 1 / 0)
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
+        path = tmp_path / "obs.csv"
+        path.write_bytes(self.TEXT)
+        assert TestMalformedCsv._estimate(path, capsys) == (
+            2, "error: a CSV worker process failed: ZeroDivisionError: division by zero\n")
+        assert pools == [2]
+        assert [ring.closed for ring in rings] == [True]
+
+    def test_a_read_leaves_the_ring_closed(self, tmp_path, pools, monkeypatch, rings):
+        monkeypatch.setattr(simulate, "_CSV_SEGMENT_BYTES", 64)
+        path = tmp_path / "obs.csv"
+        for text in (self.TEXT, self.TEXT.replace(b"200,", b"2x0,", 1)):
+            path.write_bytes(text)
+            _outcome(path)
+        assert pools == [2, 2]
+        assert [ring.closed for ring in rings] == [True, True]
 
 
 class TestIVEstimate:

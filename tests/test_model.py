@@ -998,6 +998,14 @@ def _large_model():
     return random_cyclic_model(1, n_min=512, n_max=512)[0]
 
 
+def _renamed(model, name: str):
+    """``model`` with its first variable named ``name``."""
+    names = (name, *model.variables[1:])
+    return sc.StructuralModel(
+        sc.PathDiagram._of(names, model.diagram.sources, model.diagram.targets),
+        model.coefficients, model.intercepts, model.disturbance_variances)
+
+
 class TestEdgeKernel:
     """The model file's edge kernel: a file that it reads gives what ``json.loads`` and
     ``model_from_dict`` give, and any other falls to them."""
@@ -1019,6 +1027,12 @@ class TestEdgeKernel:
         for path in (saved, dumped):
             read, outcome = _kernel_outcome(path)
             assert read and outcome[-1] == sc.model_hash(model)
+        # a name that is not ASCII is saved as UTF-8, not \u-escaped, so the kernel reads it
+        named = _renamed(model, "V\u00e9")
+        sc.save_model(named, saved)
+        assert '"V\u00e9"'.encode() in saved.read_bytes()
+        read, outcome = _kernel_outcome(saved)
+        assert read and outcome[-1] == sc.model_hash(named)
 
     @pytest.mark.parametrize("declined", ["integers", "escaped-name"])
     def test_a_declined_large_file_reads_as_its_twin(self, tmp_path, declined):
@@ -1034,11 +1048,8 @@ class TestEdgeKernel:
                     edge["coeff"] = number(k)
                 file.write_text(json.dumps(payload))
         else:
-            names = ("V\u00e9", *model.variables[1:])
-            model = sc.StructuralModel(
-                sc.PathDiagram._of(names, model.diagram.sources, model.diagram.targets),
-                model.coefficients, model.intercepts, model.disturbance_variances)
-            sc.save_model(model, path)
+            model = _renamed(model, "V\u00e9")
+            path.write_text(json.dumps(model_to_dict(model), indent=2))
             assert b'"V\\u00e9"' in path.read_bytes()
             twin.write_text(json.dumps(model_to_dict(model), indent=2, ensure_ascii=False),
                             encoding="utf-8")
