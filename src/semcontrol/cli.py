@@ -138,7 +138,7 @@ _PLAN_FLAGS = ("--x", "--a", "--b", "--sigma-eps")
 
 
 def _gains(raw: str | None, flag: str, names: tuple[str, ...], role: str) -> dict:
-    if not raw:
+    if raw is None:
         return {}
     values = _floats(raw, flag)
     if values.size != len(names):
@@ -292,14 +292,14 @@ def _cmd_validate(args):
 def _cmd_stability(args):
     analysis = _Analysis(args)
     model = analysis.model
+    # the largest radius is also the larger block radius, so both forms share a margin
+    radius = spectral_radius(model)
     if args.treatment or args.response:
         rep = check_stability(model, analysis.partition)
         results = {"spectral_radius_nondescendant_block": rep.nondescendant_radius,
                    "spectral_radius_feedback_block": rep.feedback_radius}
     else:
-        results = {"spectral_radius": spectral_radius(model)}
-    # the largest radius is also the larger block radius, so both forms share a margin
-    radius = spectral_radius(model)
+        results = {"spectral_radius": radius}
     stable = is_stable(radius)
     results.update(stable=stable, margin=1.0 - radius)
     report = Report("stability", inputs=analysis.inputs, results=results)

@@ -12,7 +12,7 @@ of the draw range reproduces the same rows bit for bit and chunks may be generat
 parallel.  A dataset's CSV file holds the ``repr`` of each value, and forked worker
 processes (:func:`_fork_map`) format and parse a large file a part each; a run that
 :func:`draw_and_save` writes is also drawn a block at a time by the worker that formats it.
-The formatted text comes back through a buffer that the workers share (:func:`_write_csv_rows`).
+The text and the rows come back through one ring of slots that they share (:func:`_fork_map`).
 """
 
 from __future__ import annotations
@@ -432,11 +432,8 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     (:func:`_fork_map`) and written in order.
 
     Each block's text is formatted by :func:`_format_cells` a part of ``_CSV_SUB_CELLS``
-    cells at a time, each part straight into the block's slot of one buffer, mapped before
-    the workers fork and shared with them; only its length comes back, so no text is
-    pickled.  There are ``_window(workers) + 1`` slots, used in turn, so that a slot is
-    filled again only after the text it held is written.  A buffer that cannot be mapped
-    is refused by :func:`_mapped`; the buffer is closed on every path.
+    cells at a time, each part straight into the block's slot of the shared ring of
+    :func:`_fork_map`, so no text is pickled.
     """
     csv.writer(fh).writerow(columns)
     fh.flush()  # the rows are bytes, written below the text layer
@@ -446,26 +443,17 @@ def _write_csv_rows(fh, columns: tuple[str, ...], n: int, block) -> None:
     starts = range(0, n, step)
     # each cell's repr takes at most 24 bytes and is followed by "," or "\r\n"
     size = min(step, n) * (25 * len(columns) + 1)
-    ring = min(len(starts), _window(_workers(len(starts))) + 1)
     sub = max(1, _CSV_SUB_CELLS // len(columns))
     masks = _slot_masks()  # built here, so that the forked workers inherit it
 
-    def put(index: int) -> int:
+    def put(index: int, out) -> None:
         start = starts[index]
         rows = block(start, min(start + step, n))
-        at = end = (index % ring) * size
         for row in range(0, len(rows), sub):
-            part = _format_cells(rows[row:row + sub].ravel(), len(columns), masks)
-            text[end:end + len(part)] = part
-            end += len(part)
-        return end - at
+            out.write(_format_cells(rows[row:row + sub].ravel(), len(columns), masks))
 
-    with _mapped(ring * size, "CSV text") as text, memoryview(text) as view:
-        for index, length in enumerate(_fork_map(put, range(len(starts)))):
-            at = (index % ring) * size
-            # released here, or a raising write's traceback would keep text from closing
-            with view[at:at + length] as part:
-                fh.buffer.write(part)
+    for _, part in _fork_map(put, len(starts), size, "CSV text"):
+        fh.buffer.write(part)
 
 
 def _mapped(size: int, what: str):
@@ -703,11 +691,10 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
     ``[[1, 2]]``).  So where a segment's width is not the header's, the single pass
     reads the same records and fails too, and its fault is named without a second parse.
 
-    A worker writes a segment's rows into its slot of one ring, mapped before the workers
-    fork (:func:`_mapped`), and returns only their shape; this process appends the slot to
-    one buffer of rows.  As in :func:`_write_csv_rows`, ``_window(workers) + 1`` slots are
-    used in turn, each of 8 bytes for every 2 of the longest segment, the least that a cell
-    and its separator take; only the pages that rows fill are touched.
+    A worker writes a segment's rows into its slot of the shared ring of :func:`_fork_map`
+    and returns only their shape; this process appends the slot to one buffer of rows.
+    Each slot has 8 bytes for every 2 of the longest segment, the least that a cell and
+    its separator take; only the pages that rows fill are touched.
     """
     with open(path, "rb") as fh:
         head = fh.readline()
@@ -726,24 +713,17 @@ def _read_segments(path) -> tuple[list[str], np.ndarray | None] | None:
         return header, None
     segments = list(zip(cuts, cuts[1:], repeat(len(header))))
     size = (max(stop - start for start, stop, _ in segments) // 2 + 1) * 8
-    ring = min(len(segments), _window(_workers(len(segments))) + 1)
 
-    def put(index: int) -> tuple[int, int] | None:
-        slots.seek(index % ring * size)
-        return _parse_segment(path, segments[index], slots)
+    def put(index: int, out) -> tuple[int, int] | None:
+        return _parse_segment(path, segments[index], out)
 
     rows = io.BytesIO()  # each slot is appended and let go, not held to the end
-    with _mapped(ring * size, "CSV rows") as slots, memoryview(slots) as view:
-        for index, shape in enumerate(_fork_map(put, range(len(segments)))):
-            if shape is None:
-                return None
-            if shape[0]:  # a blank segment has no width
-                if shape[1] != len(header):
-                    return header, None
-                at = index % ring * size
-                # released here, or a raising write's traceback would keep slots from closing
-                with view[at:at + shape[0] * shape[1] * 8] as part:
-                    rows.write(part)
+    for shape, part in _fork_map(put, len(segments), size, "CSV rows"):
+        if shape is None:
+            return None
+        if shape[0] and shape[1] != len(header):  # a blank segment has no width
+            return header, None
+        rows.write(part)
     # getvalue hands over the buffer itself, trimmed to its size; ``or 1`` for an empty
     # header, which only blank lines can follow here, as reshape cannot divide by 0
     return header, np.frombuffer(rows.getvalue()).reshape(-1, len(header) or 1)
@@ -957,19 +937,33 @@ def _parse_cells(text: np.ndarray, words: np.ndarray, dots: np.ndarray, starts: 
     return values, exact
 
 
-def _fork_map(work, items) -> Iterator:
-    """``map(work, items)``, computed by forked worker processes where they can help:
-    two or more items and usable CPUs, and ``fork``.  Elsewhere it is that ``map``.
+def _fork_map(put, count: int, size: int, what: str) -> Iterator[tuple]:
+    """``(put(index, out), the bytes that it wrote to out)`` for each index in
+    ``range(count)``, in order, computed by forked worker processes where they can help:
+    two or more items and usable CPUs, and ``fork``; elsewhere in this process.
 
-    Each worker inherits ``work`` and the data that it reads through the fork, so only
-    the items and the results are pickled.  There are ``min(usable CPUs, items)``
-    workers (:func:`_workers`), and at most two items per worker are in flight
-    (:func:`_window`), which bounds the memory that the results hold.  A worker that
-    dies or raises ends in :class:`WorkerFailed`.
+    ``out`` is the item's slot, of ``size`` bytes, in one ring mapped before the workers
+    fork and shared with them (:func:`_mapped`, for ``what``), so only the indices, the
+    results and the lengths are pickled.  Each of ``min(usable CPUs, count)`` workers
+    (:func:`_workers`) inherits ``put`` and the data that it reads.  At most two items per
+    worker are in flight beyond the one whose bytes the consumer holds, so each of the
+    ``2 * workers + 1`` slots, used in turn, is filled again only after the consumer asks
+    for the next item, which releases the bytes; in this process one slot serves.  The
+    ring is closed on every path; a worker that dies or raises ends in :class:`WorkerFailed`.
     """
-    items = list(items)
-    workers = _workers(len(items))
-    return _in_workers(work, items, workers) if workers > 1 else map(work, items)
+    workers = _workers(count)
+    ring = min(count, 2 * workers + 1) if workers > 1 else 1
+
+    def work(index: int) -> tuple:
+        slots.seek(index % ring * size)
+        return put(index, slots), slots.tell()
+
+    with _mapped(ring * size, what) as slots, memoryview(slots) as view:
+        for index, (result, end) in enumerate(_in_workers(work, range(count), workers)
+                                              if workers > 1 else map(work, range(count))):
+            # released here, or a raising consumer's traceback would keep slots from closing
+            with view[index % ring * size:end] as part:
+                yield result, part
 
 
 def _workers(items: int) -> int:
@@ -979,16 +973,7 @@ def _workers(items: int) -> int:
     return min(len(usable(0)), items) if usable and hasattr(os, "fork") else 1
 
 
-def _window(workers: int) -> int:
-    """The items that :func:`_fork_map` may have started beyond the one whose result its
-    consumer holds: ``2 * workers`` in worker processes, and none in the in-process
-    ``map``, which computes an item only when asked.  So a buffer that each item fills,
-    and that the consumer reads with the item's result, needs ``_window(workers) + 1``
-    slots, used in turn."""
-    return 2 * workers if workers > 1 else 0
-
-
-def _in_workers(work, items: list, workers: int):
+def _in_workers(work, items, workers: int):
     # imported here so that only the parallel path loads multiprocessing
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -996,7 +981,7 @@ def _in_workers(work, items: list, workers: int):
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (work,))
     todo = iter(items)
     try:
-        pending = deque(pool.submit(_call, item) for item in islice(todo, _window(workers)))
+        pending = deque(pool.submit(_call, item) for item in islice(todo, 2 * workers))
         while pending:
             result = pending.popleft().result()
             pending.extend(pool.submit(_call, item) for item in islice(todo, 1))

@@ -326,6 +326,12 @@ class TestPlanCommands:
         ("plan-optimize", ["--W", "Z1", "--a", "1,2"], "--a supplies 2 gains for 1 controls"),
         ("simulate", ["--a", "1,2"], "--a supplies 2 gains for 1 controls"),
         ("simulate", ["--W", "Z1", "--b", "1,2"], "--b supplies 2 gains for 1 covariates"),
+        # an empty list is given, and supplies no gain
+        ("plan-eval", ["--a", ""], "--a supplies 0 gains for 1 controls"),
+        ("plan-eval", ["--W", "Z1", "--b", ""], "--b supplies 0 gains for 1 covariates"),
+        ("plan-optimize", ["--W", "Z1", "--a", ""], "--a supplies 0 gains for 1 controls"),
+        ("simulate", ["--a", ""], "--a supplies 0 gains for 1 controls"),
+        ("simulate", ["--W", "Z1", "--b", ""], "--b supplies 0 gains for 1 covariates"),
     ])
     def test_wrong_gain_count_is_usage_error(
         self, model_file, tmp_path, capsys, command, flags, message

@@ -1121,14 +1121,14 @@ class TestRowsRing:
         values = np.random.default_rng(31).standard_normal((1200, 4))
         path = tmp_path / "obs.csv"
         sc.Dataset(tuple("ABCD"), values).to_csv(path)
-        fork_map = simulate._fork_map
+        in_workers = simulate._in_workers
 
-        def slow_map(work, items):
-            for shape in fork_map(work, items):
+        def slow_workers(work, items, workers):
+            for result in in_workers(work, items, workers):
                 time.sleep(0.01)  # the workers run on meanwhile, and refill a slot were it free
-                yield shape
+                yield result
 
-        monkeypatch.setattr(simulate, "_fork_map", slow_map)
+        monkeypatch.setattr(simulate, "_in_workers", slow_workers)
         assert _outcome(path) == (tuple("ABCD"), values.tobytes())
         assert pools == [cpus]
 

@@ -1,8 +1,10 @@
 """Equilibrium sampler determinism, chunking, iteration, and plan simulation."""
 
+import contextlib
 import io
 import json
 import mmap
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -449,6 +451,72 @@ class TestTextBuffer:
             simulate._write_csv_rows(fh, tuple("ABCDE"), 301, lambda start, stop: rows[start:stop])
         assert pools == [2]
         assert [text.closed for text in texts] == [True]
+
+
+class TestForkMapRing:
+    """``simulate._fork_map`` alone: each item's result and the bytes that it wrote, in
+    order, from one ring of ``2 * workers + 1`` slots, or one slot in this process,
+    whatever the item count and however slowly they are read; and the ring closed and no
+    worker left running, however the consumer ends."""
+
+    SIZE = 40  # bytes of a slot
+
+    @staticmethod
+    def _text(index: int) -> bytes:
+        """What item ``index`` writes: its own digits, 0 to 40 bytes, none for item 0."""
+        return (b"%d," % index * 40)[:index * 7 % 41]
+
+    def _put(self, index, out):
+        out.write(self._text(index))
+        return index * index
+
+    @pytest.fixture
+    def rings(self, monkeypatch):
+        """The length of each ring that the test maps, and the ring."""
+        real, rings = mmap.mmap, []
+
+        def spy(fileno, length):
+            rings.append((length, real(fileno, length)))
+            return rings[-1][1]
+
+        monkeypatch.setattr(mmap, "mmap", spy)
+        return rings
+
+    @pytest.mark.parametrize("delay", [0, 0.01], ids=["fast", "slow"])
+    @pytest.mark.parametrize("times, plus", [(0, 1), (0, 2), (1, -1), (1, 0), (1, 1), (3, 2)],
+                             ids=["1", "2", "ring-1", "ring", "ring+1", "3ring+2"])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_every_item_arrives_in_order(self, pools, monkeypatch, rings, cpus, times, plus,
+                                         delay):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        ring = 2 * cpus + 1 if cpus > 1 else 1
+        count = times * ring + plus
+        got = []
+        for result, part in simulate._fork_map(self._put, count, self.SIZE, "test items"):
+            time.sleep(delay)  # the workers run on meanwhile, and refill a slot were it free
+            got.append((result, bytes(part)))
+        assert got == [(index * index, self._text(index)) for index in range(count)]
+        workers = min(cpus, count)
+        assert pools == ([workers] if workers > 1 else [])
+        assert [(length, buffer.closed) for length, buffer in rings] == [
+            (min(count, ring) * self.SIZE if workers > 1 else self.SIZE, True)]
+
+    @pytest.mark.parametrize("ends", ["stops", "raises"])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_consumer_that_ends_early_leaves_nothing_open(self, pools, monkeypatch, rings,
+                                                            cpus, ends):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        got = []
+        with pytest.raises(RuntimeError) if ends == "raises" else contextlib.nullcontext():
+            for result, part in simulate._fork_map(self._put, 12, self.SIZE, "test items"):
+                got.append((result, bytes(part)))
+                if ends == "raises":
+                    raise RuntimeError("the consumer failed")
+                break
+        assert got == [(0, b"")]
+        assert pools == ([cpus] if cpus > 1 else [])
+        assert [buffer.closed for _, buffer in rings] == [True]
+        assert multiprocessing.active_children() == []
 
 
 class TestReportMoments:
