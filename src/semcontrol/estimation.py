@@ -55,7 +55,8 @@ def sample_moments(data: Dataset) -> MomentSummary:
     if data.n < 2:
         raise TooFewRows(f"need at least 2 rows to form a covariance, got {data.n}")
     mean = data.rows.mean(axis=0)
-    cov = np.atleast_2d(np.cov(data.rows, rowvar=False, ddof=1))
+    deviations = data.rows - mean  # np.cov's own steps, and bits, on the mean above
+    cov = deviations.T @ deviations * (1.0 / (data.n - 1))
     cov = 0.5 * (cov + cov.T)
     return MomentSummary(data.columns, mean, cov, n_obs=data.n)
 

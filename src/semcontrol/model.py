@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .codec import _CSV_SUB_CELLS, _LANE_MASKS, _parse_cells
 from .errors import (
     ControlSetMismatch,
     InputFormatError,
@@ -652,7 +653,7 @@ def _read_edge_list(data: bytes) -> tuple[dict, tuple] | None:
     ``"edges"`` objects must all have the first one's layout, byte for byte outside the
     names and numbers, ``"from"`` and ``"to"`` a name and ``"coeff"`` a number: the layout
     ``json.dumps`` writes with any indent or separators.  A name must be a variable's
-    bytes, and a number is read by :func:`~semcontrol.simulate._parse_cells`, or by
+    bytes, and a number is read by :func:`~semcontrol.codec._parse_cells`, or by
     ``float`` if it is one of :data:`_JSON_FLOAT` that its kernel leaves.  The rest of the
     file, a string ``"\\u0000"`` in place of the list, goes to ``json.loads``, and must give
     that string as its ``"edges"``: no string of a file with no ``\\`` holds a NUL, so the
@@ -706,7 +707,7 @@ def _same_bytes(words: np.ndarray, starts: np.ndarray, span: bytes) -> np.ndarra
     same = np.ones(len(starts), bool)
     for at in range(0, len(span), 8):  # the last word's lanes past the span masked off
         part = span[at:at + 8]
-        same &= (words[starts + at] & _LOW_BYTES[len(part)]) == np.uint64(
+        same &= (words[starts + at] & _LANE_MASKS[9 + len(part)]) == np.uint64(
             int.from_bytes(part, "little"))
     return same
 
@@ -721,7 +722,7 @@ def _name_indices(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     if not names or lengths.max(initial=0) > 8 * width:
         return None
     at = np.minimum(starts[:, None] + 8 * np.arange(width), len(words) - 1)  # lanes 0 past it
-    keys = words[at] & _LOW_BYTES[np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8)]
+    keys = words[at] & _LANE_MASKS[9 + np.clip(lengths[:, None] - 8 * np.arange(width), 0, 8)]
     known = np.frombuffer(b"".join(n.ljust(8 * width, b"\0") for n in names), "<u8")
     known = known.reshape(len(names), width)
     length = np.fromiter(map(len, names), np.int64, len(names))
@@ -748,9 +749,6 @@ def _name_indices(words: np.ndarray, starts: np.ndarray, stops: np.ndarray,
     return found
 
 
-_LOW_BYTES = np.array([2**(8 * k) - 1 for k in range(9)], np.uint64)
-
-
 def _fold(keys: np.ndarray) -> np.ndarray:
     """A hash of each row of words, by multiplying by the odd ``2^64 / golden ratio``."""
     folded = np.zeros(len(keys), np.uint64)
@@ -764,8 +762,6 @@ def _json_floats(data: bytes, text: np.ndarray, words: np.ndarray, starts: np.nd
     """``float`` of each number ``data[starts:stops]``, or None if one is not a number of
     :data:`_JSON_FLOAT`.  :func:`_parse_cells` reads a plain cell, ``-?``, digits, ``.``
     and digits, its integer part ``0`` or without a leading zero; ``float`` the others."""
-    from .simulate import _CSV_SUB_CELLS, _parse_cells
-
     digits = starts + (text[starts] == ord("-"))
     # a plain cell's ``.`` is among the 8 bytes after its first digit
     points = text[digits[:, None] + np.arange(1, 9)] == ord(".")

@@ -82,6 +82,22 @@ class TestSampleMoments:
         mom = sc.sample_moments(centered)
         assert np.linalg.norm(mom.mean) < 1e-12
 
+    @pytest.mark.parametrize("n, width", [(2, 1), (2, 4), (3, 1), (17, 11), (1000, 1),
+                                          (1000, 5), (200_000, 3)])
+    def test_moments_have_the_bits_of_np_cov(self, n, width):
+        """The mean is ``rows.mean(axis=0)`` and the covariance the symmetrised
+        ``np.cov(rows, rowvar=False, ddof=1)``, bit for bit."""
+        rng = np.random.default_rng(n * 16 + width)
+        rows = rng.standard_normal((n, width)) * rng.uniform(0.1, 100, width)
+        rows += rng.uniform(-50, 50, width)
+        mom = sc.sample_moments(sc.Dataset(tuple(f"V{i}" for i in range(width)), rows))
+        cov = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+        cov = 0.5 * (cov + cov.T)
+        assert list(map(float.hex, mom.mean.tolist())) == list(
+            map(float.hex, rows.mean(axis=0).tolist()))
+        assert list(map(float.hex, mom.covariance.ravel().tolist())) == list(
+            map(float.hex, cov.ravel().tolist()))
+
 
 class TestDataset:
     def test_missing_values_rejected(self):

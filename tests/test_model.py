@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import functools
+import graphlib
 import json
 import re
 import sys
@@ -413,6 +414,52 @@ class TestInverse:
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
         assert [name for name in imported if name.split(".")[-1].startswith("_")] == [
             "_write_whole"]
+
+
+def test_package_imports_are_layered():
+    """No function imports a module of the package, relative or ``semcontrol.*``; the
+    modules' top-level imports of each other form an acyclic graph; and ``codec``, the
+    exact decimal codec, imports nothing from the package and shares no name it defines."""
+    root = Path(sc.__file__).parent
+    modules = {path.stem for path in root.glob("*.py")}
+
+    def imported(node) -> set[str]:
+        """The package modules that an import statement loads; ``__init__`` for the
+        package itself or a name that it exports."""
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            return {name[1] if len(name) > 1 else "__init__" for name in names
+                    if name[0] == "semcontrol"}
+        if not isinstance(node, ast.ImportFrom):
+            return set()
+        if node.level == 0 and (node.module or "").split(".")[0] != "semcontrol":
+            return set()
+        path = (node.module or "").split(".")[node.level == 0:]
+        if path and path[0]:
+            return {path[0]}
+        return {alias.name if alias.name in modules else "__init__" for alias in node.names}
+
+    graph, nested, defined = {}, [], {}
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for function in ast.walk(tree)
+                  if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+                  for node in ast.walk(function)}
+        graph[path.stem] = set()
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                nested += [(path.name, node.lineno, name) for name in sorted(imported(node))]
+            else:
+                graph[path.stem] |= imported(node)
+        defined[path.stem] = {node.name for node in tree.body if hasattr(node, "name")} | {
+            target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name)}
+    assert nested == []
+    assert graph["codec"] == set() and "simulate" not in graph["model"]
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert not set().union(*(names for stem, names in defined.items() if stem != "codec")
+                           ) & defined["codec"]
 
 
 def test_every_dependency_is_imported():
